@@ -128,6 +128,16 @@ def _build_profile(spec, violations):
     return None
 
 
+def _number(section, key, default, cast, label, violations):
+    """``cast(section[key])``, or ``default`` with a violation if that fails."""
+    value = section.get(key, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        violations.append(f"{label}.{key} must be a number, got {value!r}")
+        return default
+
+
 def validate_config(raw):
     """Parse and validate a raw config (dict or JSON string) into a RunConfig.
 
@@ -179,14 +189,17 @@ def validate_config(raw):
         violations.append(f"T={T:g} beyond the custom profile table end {profile.t_max:g}")
 
     grid_raw = dict(raw.get("grid", {}))
-    n = int(grid_raw.get("n", 1))
-    N = int(grid_raw.get("N", 1024))
+    n = _number(grid_raw, "n", 1, int, "grid", violations)
+    N = _number(grid_raw, "N", 1024, int, "grid", violations)
     data_raw = dict(raw.get("data", {}))
     data = InitialDataSpec(
         kind=data_raw.get("kind", "gaussian"),
-        amplitude=float(data_raw.get("amplitude", 1e-3)),
-        width=float(data_raw.get("width", 1.0)),
-        seed=int(data_raw.get("seed", raw.get("seed", DEFAULTS["seed"]))))
+        amplitude=_number(data_raw, "amplitude", 1e-3, float, "data", violations),
+        width=_number(data_raw, "width", 1.0, float, "data", violations),
+        seed=_number(data_raw, "seed", raw.get("seed", DEFAULTS["seed"]), int,
+                     "data", violations))
+    if not (data.width > 0.0 and math.isfinite(data.width)):
+        violations.append("data.width must be a positive finite number")
     if data.kind not in _R0_FACTOR:
         violations.append(f"unknown data kind {data.kind!r}")
         r0 = 0.0

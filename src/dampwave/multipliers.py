@@ -138,12 +138,26 @@ def phi_values_grid(mu, profile, s, t, xi):
 
     Returns four float64 arrays (phi0, phi1, dphi0, dphi1) of xi's shape.
     Entries with xi == 0 use the closed-form zero mode; entries with
-    tau > TAU_FALLBACK fall back to the ODE oracle.
+    tau > TAU_FALLBACK fall back to the ODE oracle.  The entries depend on
+    |xi| alone, so they are evaluated once per distinct value of xi and
+    gathered back; strictly increasing input is already distinct and skips
+    the sort.
     """
+    xi = np.asarray(xi, dtype=float)
+    flat = xi.ravel()
+    if np.all(flat[1:] > flat[:-1]):
+        entries = _phi_values_flat(mu, profile, s, t, flat)
+    else:
+        values, inverse = np.unique(flat, return_inverse=True)
+        entries = tuple(e[inverse] for e in _phi_values_flat(mu, profile, s, t, values))
+    return tuple(e.reshape(xi.shape) for e in entries)
+
+
+def _phi_values_flat(mu, profile, s, t, xi):
+    """Propagator entries at every point of the 1-D array xi."""
     rho = _check_orders(mu)
     if not (0.0 <= s <= t):
         raise DomainError("need 0 <= s <= t")
-    xi = np.asarray(xi, dtype=float)
     if np.any(xi < 0.0):
         raise DomainError("xi must be nonnegative")
     if t == s:
@@ -155,21 +169,19 @@ def phi_values_grid(mu, profile, s, t, xi):
     Lam_s = float(profile.Lambda_at(s))
     Lam_t = float(profile.Lambda_at(t))
 
-    shape = xi.shape
-    flat = np.atleast_1d(xi).ravel()
-    phi0 = np.empty_like(flat)
-    phi1 = np.empty_like(flat)
-    dphi0 = np.empty_like(flat)
-    dphi1 = np.empty_like(flat)
+    phi0 = np.empty_like(xi)
+    phi1 = np.empty_like(xi)
+    dphi0 = np.empty_like(xi)
+    dphi1 = np.empty_like(xi)
 
-    zero = flat == 0.0
+    zero = xi == 0.0
     if np.any(zero):
         vals = _zero_mode_values(mu, profile, s, t)
         phi0[zero], phi1[zero], dphi0[zero], dphi1[zero] = vals
 
     pos = ~zero
     if np.any(pos):
-        xf = flat[pos]
+        xf = xi[pos]
         sigma = Lam_s * xf
         tau = Lam_t * xf
         hard = tau > TAU_FALLBACK
@@ -204,8 +216,7 @@ def phi_values_grid(mu, profile, s, t, xi):
             p0[hard], p1[hard], d0[hard], d1[hard] = res
         phi0[pos], phi1[pos], dphi0[pos], dphi1[pos] = p0, p1, d0, d1
 
-    return (phi0.reshape(shape), phi1.reshape(shape),
-            dphi0.reshape(shape), dphi1.reshape(shape))
+    return phi0, phi1, dphi0, dphi1
 
 
 def phi_values(mu, profile, s, t, xi):

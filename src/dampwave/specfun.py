@@ -20,7 +20,7 @@ Evaluation strategy:
   order would not converge for ``|nu| >~ 6`` until far larger ``tau``.
   Negative orders come from the exact reflection identities.
 
-Orders within 1e-8 of an integer are snapped to the integer (with a
+Orders within 1e-6 of an integer are snapped to the integer (with a
 warning): below that distance the reflection cancellation exceeds even
 extended precision.
 """
@@ -50,9 +50,6 @@ _LD_SWITCH = 7.0
 
 def _nterms(tau_max, nu_abs):
     return min(180, int(18 + 2.4 * tau_max + nu_abs))
-
-
-_SERIES_SWITCH = 16.0
 
 
 def _check_args(nu, tau):

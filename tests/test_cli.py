@@ -48,6 +48,19 @@ def test_simulate_validation_exit_code(tmp_path, capsys):
     assert "mu" in err
 
 
+def test_simulate_non_numeric_grid_size_exit_code(tmp_path, capsys):
+    cfg = run_config(tmp_path, grid={"n": 1, "N": "abc"})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    assert "grid.N" in capsys.readouterr().err
+
+
+def test_simulate_negative_width_exit_code(tmp_path, capsys):
+    cfg = run_config(tmp_path, data={"kind": "gaussian", "amplitude": 0.05,
+                                     "width": -5})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    assert "data.width" in capsys.readouterr().err
+
+
 def test_config_roundtrip_and_nested_damping(tmp_path):
     from dampwave.config import validate_config
 

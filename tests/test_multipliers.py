@@ -184,3 +184,61 @@ def test_certify_zone_bounds_smoke():
     report = mp.certify_zone_bounds(3.0, CONST, 1.0, spec)
     assert any(name.startswith("Lq_") for name in report.families)
     assert report.all_stable()
+
+
+def _undeduplicated(mu, prof, s, t, xi):
+    """Reference: the assembly applied to every entry of xi, repeats included."""
+    xi = np.asarray(xi, dtype=float)
+    entries = mp._phi_values_flat(mu, prof, s, t, xi.ravel())
+    return tuple(e.reshape(xi.shape) for e in entries)
+
+
+def _assert_exact(mu, prof, s, t, xi):
+    got = mp.phi_values_grid(mu, prof, s, t, xi)
+    ref = _undeduplicated(mu, prof, s, t, xi)
+    for g, r in zip(got, ref):
+        assert g.shape == np.shape(xi) and g.dtype == np.float64
+        assert np.array_equal(g, r)
+    return got
+
+
+def test_dedup_exact_on_3d_grid():
+    from dampwave.solver import Grid
+
+    xi = Grid(n=3, N=32, L=10.0).xi
+    assert np.count_nonzero(xi == 0.0) == 1
+    assert len(np.unique(xi)) < xi.size
+    for mu, prof, s, t in ((4.0, CONST, 0.0, 0.05), (2.3, POLY, 0.4, 1.1),
+                           (0.6, EXPO, 1.0, 3.0)):
+        _assert_exact(mu, prof, s, t, xi)
+
+
+def test_dedup_exact_shuffled_with_fallback():
+    rng = np.random.default_rng(7)
+    # a short interval keeps the oracle's phase span tau - sigma near 2
+    s, t = 0.2, 0.2 + 1e-7
+    xi = np.concatenate([rng.uniform(0.0, 4.0, 40), [0.0, 0.0, 1.5, 1.5],
+                         [2.0 * mp.TAU_FALLBACK]])
+    xi = np.concatenate([xi, xi[:10]])
+    rng.shuffle(xi)
+    got = _assert_exact(3.0, CONST, s, t, xi)
+    hard = xi * float(CONST.Lambda_at(t)) > mp.TAU_FALLBACK
+    assert np.count_nonzero(hard) == 1 and np.all(np.isfinite(got[1]))
+
+
+@pytest.mark.parametrize("xi", [np.zeros(0), np.zeros((0, 3)), np.float64(0.7),
+                                np.array([0.0]), np.array([2.5]), np.ones((1, 1))])
+def test_dedup_exact_degenerate_shapes(xi):
+    _assert_exact(2.5, CONST, 0.5, 2.0, xi)
+    _assert_exact(2.5, CONST, 2.0, 2.0, xi)
+
+
+def test_equal_xi_gives_equal_entries():
+    from dampwave.solver import Grid
+
+    xi = Grid(n=2, N=32, L=6.0).xi
+    values, inverse = np.unique(xi.ravel(), return_inverse=True)
+    for e in mp.phi_values_grid(4.0, CONST, 0.0, 0.3, xi):
+        per_value = np.full(values.shape, np.nan)
+        per_value[inverse] = e.ravel()
+        assert np.array_equal(e.ravel(), per_value[inverse])

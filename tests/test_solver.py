@@ -288,3 +288,48 @@ def test_weighted_norms_closed_form_and_flag():
     ns = sv.norms(state, CONST, 2.0, grid, weighted=spec)
     assert ns.weighted_saturated
     assert math.isfinite(ns.weighted_l2)
+
+
+@pytest.fixture
+def bessel_points(monkeypatch):
+    """Count the argument points of every Bessel evaluation in multipliers."""
+    from dampwave import multipliers
+
+    count = [0]
+    for name in ("_jy", "jy_extended"):
+        fn = getattr(multipliers, name)
+
+        def counted(nu, tau, fn=fn):
+            count[0] += np.size(tau)
+            return fn(nu, tau)
+
+        monkeypatch.setattr(multipliers, name, counted)
+    return count
+
+
+def test_duhamel_step_evaluates_distinct_modes_once(bessel_points):
+    grid = sv.Grid(n=3, N=32, L=10.0)
+    u0, _ = sv.make_initial_data(grid, "gaussian", amplitude=0.1, width=1.0, seed=0)
+    st = sv.FieldState(u=u0, ut=np.zeros_like(u0), t=0.0)
+    nl = sv.NonlinearitySpec(form="signed_power", p=2.0, gamma=0.0)
+    sv.duhamel_step(st, CONST, 4.0, grid, nl, 0.05)
+    # two half-step multipliers, each with two orders at sigma and at tau
+    assert 0 < bessel_points[0] <= 8 * len(np.unique(grid.xi))
+
+
+def test_radial_norm_evaluates_every_node(bessel_points, monkeypatch):
+    from dampwave import radial
+
+    nodes = [0]
+    phi_values_grid = radial.phi_values_grid
+
+    def counted(mu, profile, s, t, xi):
+        nodes[0] += np.size(xi)
+        return phi_values_grid(mu, profile, s, t, xi)
+
+    monkeypatch.setattr(radial, "phi_values_grid", counted)
+    radial.linear_norm_radial(4.0, CONST, radial.gaussian_spectrum(1.0, 1.0),
+                              radial.gaussian_spectrum(0.7, 1.2), 10.0, rtol=1e-5,
+                              pts_per_period=12, log_pts_per_decade=60)
+    # quadrature nodes are strictly increasing: no sort, no node dropped
+    assert nodes[0] > 0 and bessel_points[0] == 4 * nodes[0]
