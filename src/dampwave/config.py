@@ -121,21 +121,40 @@ def _build_profile(spec, violations):
                 return None
             return _profiles.custom_profile(spec["table_t"], spec["table_lambda"],
                                             1.0 if lam0 is None else lam0)
-    except DomainError as exc:
+    except (DomainError, TypeError, ValueError) as exc:
         violations.append(f"profile: {exc}")
         return None
     violations.append(f"unknown profile kind {kind!r}")
     return None
 
 
-def _number(section, key, default, cast, label, violations):
+def _number(section, key, default, cast, violations, prefix=""):
     """``cast(section[key])``, or ``default`` with a violation if that fails."""
     value = section.get(key, default)
     try:
         return cast(value)
     except (TypeError, ValueError, OverflowError):
-        violations.append(f"{label}.{key} must be a number, got {value!r}")
+        violations.append(f"{prefix}{key} must be a number, got {value!r}")
         return default
+
+
+def _section(raw, key, violations):
+    """The JSON object ``raw[key]`` as a dict ({} if absent or not an object)."""
+    value = raw.get(key, {})
+    if not isinstance(value, dict):
+        violations.append(f"{key} must be a JSON object, got {value!r}")
+        return {}
+    return dict(value)
+
+
+def _number_list(section, key, default, violations):
+    """``[float(v) for v in section[key]]``, or ``default`` with a violation."""
+    value = section.get(key, default)
+    try:
+        return [float(v) for v in value]
+    except (TypeError, ValueError, OverflowError):
+        violations.append(f"{key} must be a list of numbers, got {value!r}")
+        return list(default)
 
 
 def validate_config(raw):
@@ -158,7 +177,7 @@ def validate_config(raw):
 
     # mu/nu may sit at top level or inside the profile object; exactly one
     # of the two names may be present overall
-    profile_raw = dict(raw.get("profile", {}))
+    profile_raw = _section(raw, "profile", violations)
     damping_keys = [(k, src[k]) for src in (raw, profile_raw)
                     for k in ("mu", "nu") if k in src]
     if len(damping_keys) != 1:
@@ -180,24 +199,27 @@ def validate_config(raw):
                 damping = _profiles.DampingSpec.from_nu(value, profile)
         except DomainError as exc:
             violations.append(str(exc))
+        except (TypeError, ValueError):
+            violations.append(f"{key} must be a number, got {value!r}")
 
     T = raw.get("T")
     if T is not None and (not isinstance(T, (int, float)) or not T > 0.0
                           or not math.isfinite(T)):
         violations.append("T must be a positive finite number")
+        T = None
     if profile is not None and T is not None and T > profile.t_max:
         violations.append(f"T={T:g} beyond the custom profile table end {profile.t_max:g}")
 
-    grid_raw = dict(raw.get("grid", {}))
-    n = _number(grid_raw, "n", 1, int, "grid", violations)
-    N = _number(grid_raw, "N", 1024, int, "grid", violations)
-    data_raw = dict(raw.get("data", {}))
+    grid_raw = _section(raw, "grid", violations)
+    n = _number(grid_raw, "n", 1, int, violations, "grid.")
+    N = _number(grid_raw, "N", 1024, int, violations, "grid.")
+    data_raw = _section(raw, "data", violations)
     data = InitialDataSpec(
         kind=data_raw.get("kind", "gaussian"),
-        amplitude=_number(data_raw, "amplitude", 1e-3, float, "data", violations),
-        width=_number(data_raw, "width", 1.0, float, "data", violations),
+        amplitude=_number(data_raw, "amplitude", 1e-3, float, violations, "data."),
+        width=_number(data_raw, "width", 1.0, float, violations, "data."),
         seed=_number(data_raw, "seed", raw.get("seed", DEFAULTS["seed"]), int,
-                     "data", violations))
+                     violations, "data."))
     if not (data.width > 0.0 and math.isfinite(data.width)):
         violations.append("data.width must be a positive finite number")
     if data.kind not in _R0_FACTOR:
@@ -208,7 +230,9 @@ def validate_config(raw):
 
     grid = None
     L = grid_raw.get("L")
-    if profile is not None and T is not None and isinstance(T, (int, float)) and T > 0:
+    if L is not None:
+        L = _number(grid_raw, "L", None, float, violations, "grid.")
+    if profile is not None and T is not None:
         try:
             lam0 = profile.lambda0
             L_rule = r0 + (float(profile.Lambda_at(min(T, profile.t_max))) - lam0) + 2.0
@@ -223,26 +247,35 @@ def validate_config(raw):
         except DomainError as exc:
             violations.append(f"grid: {exc}")
 
-    nl_raw = dict(raw.get("nonlinearity", {}))
+    nl_raw = _section(raw, "nonlinearity", violations)
     nonlin = None
     try:
         nonlin = NonlinearitySpec(
             form=nl_raw.get("form", "zero"),
-            p=float(nl_raw.get("p", 2.0)),
-            gamma=float(nl_raw.get("gamma", 0.0)),
+            p=_number(nl_raw, "p", 2.0, float, violations, "nonlinearity."),
+            gamma=_number(nl_raw, "gamma", 0.0, float, violations, "nonlinearity."),
             scaling=nl_raw.get("scaling", "plain"))
     except DomainError as exc:
         violations.append(f"nonlinearity: {exc}")
 
-    w_raw = dict(raw.get("weighted", {}))
+    w_raw = _section(raw, "weighted", violations)
     weighted = WeightedNormSpec(enabled=bool(w_raw.get("enabled", False)),
                                 mu=w_raw.get("mu"))
 
-    K = float(raw.get("K", DEFAULTS["K"]))
+    K = _number(raw, "K", DEFAULTS["K"], float, violations)
     if not 0.0 < K < 1.0:
         violations.append("K must lie in (0, 1)")
+    dt_max = _number(raw, "dt_max", DEFAULTS["dt_max"], float, violations)
+    blowup_factor = _number(raw, "blowup_factor", DEFAULTS["blowup_factor"], float,
+                            violations)
+    m_list = _number_list(raw, "m_list", DEFAULTS["m_list"], violations)
+    samples_per_decade = _number(raw, "samples_per_decade",
+                                 DEFAULTS["samples_per_decade"], int, violations)
+    seed = _number(raw, "seed", DEFAULTS["seed"], int, violations)
+    fit_window = _number(raw, "fit_window", DEFAULTS["fit_window"], float, violations)
 
-    mem = int(raw.get("memory_cap_bytes", DEFAULTS["memory_cap_bytes"]))
+    mem = _number(raw, "memory_cap_bytes", DEFAULTS["memory_cap_bytes"], int,
+                  violations)
     if grid is not None:
         est = 16 * 8 * N**n  # ~16 working arrays of float64
         if est > mem:
@@ -275,14 +308,13 @@ def validate_config(raw):
                  "width": data.width, "seed": data.seed},
         "T": float(T),
         "K": K,
-        "dt_max": float(raw.get("dt_max", DEFAULTS["dt_max"])),
-        "blowup_factor": float(raw.get("blowup_factor", DEFAULTS["blowup_factor"])),
-        "m_list": [float(m) for m in raw.get("m_list", DEFAULTS["m_list"])],
-        "samples_per_decade": int(raw.get("samples_per_decade",
-                                          DEFAULTS["samples_per_decade"])),
+        "dt_max": dt_max,
+        "blowup_factor": blowup_factor,
+        "m_list": m_list,
+        "samples_per_decade": samples_per_decade,
         "weighted": {"enabled": weighted.enabled, "mu": weighted.mu},
-        "seed": int(raw.get("seed", DEFAULTS["seed"])),
-        "fit_window": float(raw.get("fit_window", DEFAULTS["fit_window"])),
+        "seed": seed,
+        "fit_window": fit_window,
     }
 
     return RunConfig(

@@ -140,17 +140,12 @@ def phi_values_grid(mu, profile, s, t, xi):
     Entries with xi == 0 use the closed-form zero mode; entries with
     tau > TAU_FALLBACK fall back to the ODE oracle.  The entries depend on
     |xi| alone, so they are evaluated once per distinct value of xi and
-    gathered back; strictly increasing input is already distinct and skips
-    the sort.
+    gathered back.
     """
     xi = np.asarray(xi, dtype=float)
-    flat = xi.ravel()
-    if np.all(flat[1:] > flat[:-1]):
-        entries = _phi_values_flat(mu, profile, s, t, flat)
-    else:
-        values, inverse = np.unique(flat, return_inverse=True)
-        entries = tuple(e[inverse] for e in _phi_values_flat(mu, profile, s, t, values))
-    return tuple(e.reshape(xi.shape) for e in entries)
+    values, inverse = np.unique(xi.ravel(), return_inverse=True)
+    entries = _phi_values_flat(mu, profile, s, t, values)
+    return tuple(e[inverse].reshape(xi.shape) for e in entries)
 
 
 def _phi_values_flat(mu, profile, s, t, xi):

@@ -48,17 +48,33 @@ def test_simulate_validation_exit_code(tmp_path, capsys):
     assert "mu" in err
 
 
-def test_simulate_non_numeric_grid_size_exit_code(tmp_path, capsys):
-    cfg = run_config(tmp_path, grid={"n": 1, "N": "abc"})
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
-    assert "grid.N" in capsys.readouterr().err
-
-
 def test_simulate_negative_width_exit_code(tmp_path, capsys):
     cfg = run_config(tmp_path, data={"kind": "gaussian", "amplitude": 0.05,
                                      "width": -5})
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
     assert "data.width" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, name", [
+    ({"K": "x"}, "K"),
+    ({"dt_max": "x"}, "dt_max"),
+    ({"blowup_factor": [1]}, "blowup_factor"),
+    ({"memory_cap_bytes": "x"}, "memory_cap_bytes"),
+    ({"m_list": "x"}, "m_list"),
+    ({"samples_per_decade": "x"}, "samples_per_decade"),
+    ({"fit_window": "x"}, "fit_window"),
+    ({"T": "x"}, "T"),
+    ({"mu": "x"}, "mu"),
+    ({"grid": {"n": 1, "N": "abc"}}, "grid.N"),
+    ({"grid": {"n": 1, "N": 256, "L": "x"}}, "grid.L"),
+    ({"grid": "x"}, "grid"),
+    ({"nonlinearity": {"form": "signed_power", "p": "x"}}, "nonlinearity.p"),
+    ({"profile": {"kind": "constant", "lambda0": "x"}}, "profile"),
+])
+def test_simulate_non_numeric_value_exit_code(tmp_path, capsys, overrides, name):
+    cfg = run_config(tmp_path, **overrides)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    assert f"error: {name}" in capsys.readouterr().err
 
 
 def test_config_roundtrip_and_nested_damping(tmp_path):

@@ -331,5 +331,5 @@ def test_radial_norm_evaluates_every_node(bessel_points, monkeypatch):
     radial.linear_norm_radial(4.0, CONST, radial.gaussian_spectrum(1.0, 1.0),
                               radial.gaussian_spectrum(0.7, 1.2), 10.0, rtol=1e-5,
                               pts_per_period=12, log_pts_per_decade=60)
-    # quadrature nodes are strictly increasing: no sort, no node dropped
+    # quadrature nodes are distinct: deduplication drops none of them
     assert nodes[0] > 0 and bessel_points[0] == 4 * nodes[0]
