@@ -37,17 +37,14 @@ from .profiles import (
 from .specfun import HankelPair, bessel_j, bessel_y, hankel_pair, hankel_plus
 from .multipliers import (
     BoundReport,
-    ModePoint,
     MultiplierValues,
     Zone,
     ZoneSampleSpec,
     certify_zone_bounds,
     classify_zone,
-    make_mode_point,
     mode_ode_oracle,
     phi_values,
     phi_values_grid,
-    psi_det,
     rho_of,
 )
 from .analysis import (
@@ -86,9 +83,9 @@ __all__ = [
     "damping_at", "dissipativity_check", "exponential_profile",
     "lambda_at", "Lambda_at", "polynomial_profile",
     "HankelPair", "bessel_j", "bessel_y", "hankel_pair", "hankel_plus",
-    "BoundReport", "ModePoint", "MultiplierValues", "Zone", "ZoneSampleSpec",
-    "certify_zone_bounds", "classify_zone", "make_mode_point",
-    "mode_ode_oracle", "phi_values", "phi_values_grid", "psi_det", "rho_of",
+    "BoundReport", "MultiplierValues", "Zone", "ZoneSampleSpec",
+    "certify_zone_bounds", "classify_zone", "mode_ode_oracle", "phi_values",
+    "phi_values_grid", "rho_of",
     "DecayFit", "ExponentReport", "GNReport", "NormSeries", "ScanResult",
     "exponent_catalog", "fit_decay", "gn_verify", "run_scan", "theta_gn",
     "BlowupRecord", "FieldState", "Grid", "NonlinearitySpec",

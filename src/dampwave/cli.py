@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import analysis, multipliers, radial, specfun
-from .config import validate_config
+from .config import _build_profile, _number, _number_list, _section, validate_config
 from .errors import (DampwaveError, DegenerateFitError, DomainError,
                      FitWindowError, IntegrationFailureError, QuadratureError,
                      ResourceCapError, UnsupportedOrderError, ValidationError)
@@ -67,30 +67,50 @@ def _cmd_simulate(args):
     return 0
 
 
+def _multiplier_check_params(cfg):
+    """Validated (profile, numbers) of a multiplier-check config."""
+    if not isinstance(cfg, dict):
+        raise ValidationError(["config must be a JSON object"])
+    violations = []
+    profile = _build_profile(_section(cfg, "profile", violations) if "profile" in cfg
+                             else {"kind": "constant"}, violations)
+    num = {key: _number(cfg, key, default, cast, violations)
+           for key, default, cast in (
+               ("mu", 2.0, float), ("samples", 100, int), ("seed", 0, int),
+               ("s_max", 2.0, float), ("dt_max", 50.0, float),
+               ("tau_cap", 3000.0, float), ("K", multipliers.DEFAULT_K, float))}
+    xi_range = _number_list(cfg, "xi_range", [1e-3, 50.0], violations)
+    if len(xi_range) != 2 or not 0.0 < xi_range[0] < xi_range[1] < math.inf:
+        violations.append(f"xi_range must be [xi_lo, xi_hi] with 0 < xi_lo < xi_hi, "
+                          f"got {cfg['xi_range']!r}")
+    elif not all(math.isfinite(v) for v in num.values()):
+        violations.append("every number must be finite")
+    elif num["samples"] < 1:
+        violations.append(f"samples must be >= 1, got {num['samples']!r}")
+    elif profile is not None:
+        # every draw has tau >= Lambda(0) xi_lo; a smaller cap would redraw forever
+        tau_min = float(profile.Lambda_at(0.0)) * xi_range[0]
+        if not num["tau_cap"] > tau_min:
+            violations.append(f"tau_cap must exceed Lambda(0) * xi_lo = {tau_min:g}")
+    if violations:
+        raise ValidationError(violations)
+    num["xi_lo"], num["xi_hi"] = xi_range
+    return profile, num
+
+
 def _cmd_multiplier_check(args):
     with open(args.config) as fh:
         cfg = json.load(fh)
-    from .config import _build_profile
-
-    violations = []
-    profile = _build_profile(dict(cfg.get("profile", {"kind": "constant"})), violations)
-    if profile is None:
-        raise ValidationError(violations)
-    mu = float(cfg.get("mu", 2.0))
-    count = int(cfg.get("samples", 100))
-    rng = np.random.default_rng(int(cfg.get("seed", 0)))
-    s_max = float(cfg.get("s_max", 2.0))
-    dt_max = float(cfg.get("dt_max", 50.0))
-    xi_lo, xi_hi = cfg.get("xi_range", [1e-3, 50.0])
-    tau_cap = float(cfg.get("tau_cap", 3000.0))
-    K = float(cfg.get("K", 0.5))
+    profile, num = _multiplier_check_params(cfg)
+    mu, count, K = num["mu"], num["samples"], num["K"]
+    rng = np.random.default_rng(num["seed"])
 
     tuples = []
     while len(tuples) < count:
-        s = rng.uniform(0.0, s_max)
-        t = s + rng.uniform(0.0, dt_max)
-        xi = 10.0 ** rng.uniform(math.log10(xi_lo), math.log10(xi_hi))
-        if float(profile.Lambda_at(t)) * xi > tau_cap:
+        s = rng.uniform(0.0, num["s_max"])
+        t = s + rng.uniform(0.0, num["dt_max"])
+        xi = 10.0 ** rng.uniform(math.log10(num["xi_lo"]), math.log10(num["xi_hi"]))
+        if float(profile.Lambda_at(t)) * xi > num["tau_cap"]:
             continue
         tuples.append((s, t, xi))
 
@@ -98,13 +118,7 @@ def _cmd_multiplier_check(args):
     tau = np.array([profile.Lambda_at(t) * xi for _, t, xi in tuples])
     ls_xi = np.array([profile.lambda_at(s) * xi for s, _, xi in tuples])
     lt_xi = np.array([profile.lambda_at(t) * xi for _, t, xi in tuples])
-    mu_arr = np.full(len(tuples), mu)
-    ones = np.ones(len(tuples), dtype=complex)
-    zeros = np.zeros(len(tuples), dtype=complex)
-    o_p0, o_d0 = multipliers.mode_ode_oracle_batch(mu_arr, sigma, tau, ls_xi, lt_xi,
-                                                   ones, zeros, rtol=1e-12)
-    o_p1, o_d1 = multipliers.mode_ode_oracle_batch(mu_arr, sigma, tau, ls_xi, lt_xi,
-                                                   zeros, ones, rtol=1e-12)
+    oracle = multipliers.oracle_matrix_batch(mu, sigma, tau, ls_xi, lt_xi, rtol=1e-12)
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -117,7 +131,7 @@ def _cmd_multiplier_check(args):
             vals = multipliers.phi_values(mu, profile, s, t, xi)
             zone = multipliers.classify_zone(K, profile, s, t, xi).value
             got = [vals.phi0.real, vals.phi1.real, vals.dphi0.real, vals.dphi1.real]
-            ora = [o_p0[i].real, o_p1[i].real, o_d0[i].real, o_d1[i].real]
+            ora = [entry[i] for entry in oracle]
             rel = max(abs(g - o) / max(abs(o), 1e-9) for g, o in zip(got, ora))
             worst = max(worst, rel)
             writer.writerow([_fmt(mu), profile.kind, _fmt(s), _fmt(t), _fmt(xi),

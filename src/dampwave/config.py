@@ -35,10 +35,11 @@ from dataclasses import dataclass, field
 
 from . import profiles as _profiles
 from .errors import DomainError, ResourceCapError, ValidationError
+from .multipliers import DEFAULT_K
 from .solver import Grid, NonlinearitySpec, WeightedNormSpec
 
 DEFAULTS = {
-    "K": 0.5,
+    "K": DEFAULT_K,
     "dt_max": 0.1,
     "blowup_factor": 1.0e6,
     "m_list": [1.0],

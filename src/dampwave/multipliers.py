@@ -40,10 +40,13 @@ from .errors import DomainError, UnsupportedOrderError
 from .specfun import _PI, MAX_ORDER, _jy, jy_extended
 
 # Beyond this tau the Hankel phases lose the target accuracy even in
-# extended precision, and the per-mode ODE oracle takes over.
-TAU_FALLBACK = 1.0e7
+# extended precision; modes past it are rejected rather than approximated.
+TAU_MAX = 1.0e7
 
 DEFAULT_K = 0.5
+
+# surface area of the unit sphere S^{n-1} in R^n
+SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
 
 def rho_of(mu):
@@ -59,49 +62,10 @@ def _check_orders(mu):
     return rho
 
 
-@dataclass(frozen=True)
-class ModePoint:
-    """One (s, t, |xi|) sample with its stretched phases sigma, tau."""
-
-    s: float
-    t: float
-    xi: float
-    sigma: float
-    tau: float
-
-
-def make_mode_point(profile, s, t, xi):
-    """Validated ModePoint; requires t >= s >= 0 and xi > 0."""
-    if not (0.0 <= s <= t):
-        raise DomainError("need 0 <= s <= t")
-    if not xi > 0.0:
-        raise DomainError("xi must be positive")
-    sigma = profile.Lambda_at(s) * xi
-    tau = profile.Lambda_at(t) * xi
-    return ModePoint(s=float(s), t=float(t), xi=float(xi), sigma=sigma, tau=tau)
-
-
 # Below this sigma the cross products are assembled in extended precision:
 # |H(sigma)| grows like sigma^-|order|, and the determinant cancellation
 # would otherwise cost ~|H(sigma) H(tau)| * 1e-16 in absolute error.
 _EXT_SIGMA = 1.0
-
-
-def _cross_im(r, delta, sigma, tau, extended):
-    """Im[conj(H+_r(sigma)) H+_{r+delta}(tau)] as a longdouble array."""
-    jy = jy_extended if extended else _jy
-    ja, ya = jy(r, sigma)
-    jb, yb = jy(r + delta, tau)
-    return (np.asarray(ja, dtype=np.longdouble) * yb
-            - np.asarray(ya, dtype=np.longdouble) * jb)
-
-
-def psi_det(k, r, delta, point):
-    """Hankel cross determinant Psi_{k,r,delta}(t,s,|xi|); real-valued complex."""
-    ext = point.sigma < _EXT_SIGMA
-    im = _cross_im(r, delta, np.asarray([point.sigma]), np.asarray([point.tau]), ext)
-    val = float(-(_PI / 2.0) * np.longdouble(point.xi) ** k * im[0])
-    return complex(val, 0.0)
 
 
 @dataclass(frozen=True)
@@ -114,21 +78,14 @@ class MultiplierValues:
     dphi1: complex
 
 
-def _phi1_zero_mode(mu, lam_s, Lam_s, Lam_t):
-    """phi1 at xi = 0: integral of exp(-int b) in closed form."""
+def _zero_mode_values(mu, lam_s, lam_t, Lam_s, Lam_t):
+    """Entries at xi = 0; phi1 is the integral of exp(-int b) in closed form."""
     g = 1.0 - mu
     big_l = math.log(Lam_t / Lam_s)
     if abs(g) < 1e-12:
-        return Lam_s * big_l / lam_s
-    return Lam_s * math.expm1(g * big_l) / (g * lam_s)
-
-
-def _zero_mode_values(mu, profile, s, t):
-    lam_s = float(profile.lambda_at(s))
-    lam_t = float(profile.lambda_at(t))
-    Lam_s = float(profile.Lambda_at(s))
-    Lam_t = float(profile.Lambda_at(t))
-    phi1 = _phi1_zero_mode(mu, lam_s, Lam_s, Lam_t)
+        phi1 = Lam_s * big_l / lam_s
+    else:
+        phi1 = Lam_s * math.expm1(g * big_l) / (g * lam_s)
     dphi1 = (Lam_s / Lam_t) ** mu * lam_t / lam_s
     return 1.0, phi1, 0.0, dphi1
 
@@ -137,10 +94,10 @@ def phi_values_grid(mu, profile, s, t, xi):
     """Vectorized propagator entries over an array of frequencies.
 
     Returns four float64 arrays (phi0, phi1, dphi0, dphi1) of xi's shape.
-    Entries with xi == 0 use the closed-form zero mode; entries with
-    tau > TAU_FALLBACK fall back to the ODE oracle.  The entries depend on
-    |xi| alone, so they are evaluated once per distinct value of xi and
-    gathered back.
+    Entries with xi == 0 use the closed-form zero mode.  Raises DomainError
+    for a non-finite or negative xi and, when t > s, for a mode whose phase
+    tau = Lambda(t)|xi| exceeds TAU_MAX.  The entries depend on |xi| alone,
+    so they are evaluated once per distinct value of xi and gathered back.
     """
     xi = np.asarray(xi, dtype=float)
     values, inverse = np.unique(xi.ravel(), return_inverse=True)
@@ -153,6 +110,8 @@ def _phi_values_flat(mu, profile, s, t, xi):
     rho = _check_orders(mu)
     if not (0.0 <= s <= t):
         raise DomainError("need 0 <= s <= t")
+    if not np.all(np.isfinite(xi)):
+        raise DomainError("xi must be finite")
     if np.any(xi < 0.0):
         raise DomainError("xi must be nonnegative")
     if t == s:
@@ -171,7 +130,7 @@ def _phi_values_flat(mu, profile, s, t, xi):
 
     zero = xi == 0.0
     if np.any(zero):
-        vals = _zero_mode_values(mu, profile, s, t)
+        vals = _zero_mode_values(mu, lam_s, lam_t, Lam_s, Lam_t)
         phi0[zero], phi1[zero], dphi0[zero], dphi1[zero] = vals
 
     pos = ~zero
@@ -179,15 +138,18 @@ def _phi_values_flat(mu, profile, s, t, xi):
         xf = xi[pos]
         sigma = Lam_s * xf
         tau = Lam_t * xf
-        hard = tau > TAU_FALLBACK
+        if np.any(tau > TAU_MAX):
+            raise DomainError(
+                f"phase Lambda(t)|xi| = {float(np.max(tau)):g} exceeds "
+                f"TAU_MAX = {TAU_MAX:g}, beyond which the Hankel route loses accuracy")
         p0 = np.empty_like(xf)
         p1 = np.empty_like(xf)
         d0 = np.empty_like(xf)
         d1 = np.empty_like(xf)
         pref = Lam_t**rho / Lam_s ** (rho - 1.0)
         half_pi = float(_PI / 2.0)
-        for mask, extended in ((~hard & (sigma < _EXT_SIGMA), True),
-                               (~hard & (sigma >= _EXT_SIGMA), False)):
+        for mask, extended in ((sigma < _EXT_SIGMA, True),
+                               (sigma >= _EXT_SIGMA, False)):
             if not np.any(mask):
                 continue
             sg, tg, xe = sigma[mask], tau[mask], xf[mask]
@@ -205,10 +167,6 @@ def _phi_values_flat(mu, profile, s, t, xi):
             p1[mask] = (half_pi * pref / lam_s) * psi_0_r_0.astype(float)
             d0[mask] = (-half_pi * lam_t * pref) * psi_2_rm1_0.astype(float)
             d1[mask] = (half_pi * lam_t / lam_s * pref) * psi_1_r_m1.astype(float)
-        if np.any(hard):
-            res = _oracle_matrix_batch(mu, sigma[hard], tau[hard],
-                                       lam_s * xf[hard], lam_t * xf[hard])
-            p0[hard], p1[hard], d0[hard], d1[hard] = res
         phi0[pos], phi1[pos], dphi0[pos], dphi1[pos] = p0, p1, d0, d1
 
     return phi0, phi1, dphi0, dphi1
@@ -251,15 +209,17 @@ def mode_ode_oracle_batch(mu, sigma, tau, lam_s_xi, lam_t_xi, w0, w1,
     return yf[0], yf[1] * lam_t_xi
 
 
-def _oracle_matrix_batch(mu, sigma, tau, lam_s_xi, lam_t_xi, rtol=1e-10):
-    """Propagator entries for a batch of modes via the ODE oracle."""
-    n = len(sigma)
-    mu_arr = np.full(n, mu, dtype=float)
-    ones = np.ones(n, dtype=complex)
-    zeros = np.zeros(n, dtype=complex)
-    v_a, vp_a = mode_ode_oracle_batch(mu_arr, sigma, tau, lam_s_xi, lam_t_xi,
+def oracle_matrix_batch(mu, sigma, tau, lam_s_xi, lam_t_xi, rtol=1e-10):
+    """Propagator entries (phi0, phi1, dphi0, dphi1) of a batch via the ODE oracle.
+
+    Integrates the data (1, 0) and (0, 1) with mode_ode_oracle_batch; ``mu``
+    is a scalar or an array of the batch's length.
+    """
+    ones = np.ones(len(sigma), dtype=complex)
+    zeros = np.zeros(len(sigma), dtype=complex)
+    v_a, vp_a = mode_ode_oracle_batch(mu, sigma, tau, lam_s_xi, lam_t_xi,
                                       ones, zeros, rtol=rtol)
-    v_b, vp_b = mode_ode_oracle_batch(mu_arr, sigma, tau, lam_s_xi, lam_t_xi,
+    v_b, vp_b = mode_ode_oracle_batch(mu, sigma, tau, lam_s_xi, lam_t_xi,
                                       zeros, ones, rtol=rtol)
     return v_a.real, v_b.real, vp_a.real, vp_b.real
 
@@ -284,9 +244,8 @@ def mode_ode_oracle(mu, profile, s, t, xi, w0, w1, rtol=1e-10, atol=1e-12):
     Lam_s = float(profile.Lambda_at(s))
     Lam_t = float(profile.Lambda_at(t))
     if xi == 0.0:
-        v = w0 + w1 * _phi1_zero_mode(mu, lam_s, Lam_s, Lam_t)
-        vp = w1 * (Lam_s / Lam_t) ** mu * lam_t / lam_s
-        return v, vp
+        _, phi1, _, dphi1 = _zero_mode_values(mu, lam_s, lam_t, Lam_s, Lam_t)
+        return w0 + w1 * phi1, w1 * dphi1
     v, vp = mode_ode_oracle_batch(
         np.array([mu]), np.array([Lam_s * xi]), np.array([Lam_t * xi]),
         np.array([lam_s * xi]), np.array([lam_t * xi]),
@@ -365,10 +324,6 @@ class BoundReport:
 
     def all_stable(self, factor=10.0):
         return all(f.stable(factor) for f in self.families.values())
-
-
-def _surface_area(n):
-    return {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}[n]
 
 
 def certify_zone_bounds(mu, profile, m, spec=None):
@@ -459,7 +414,7 @@ def certify_zone_bounds(mu, profile, m, spec=None):
                 fam("I23_en_v1", tpl + " / ls").samples.append(
                     (s, t, float(np.max(en1) / (en_base / lam_s))))
             else:
-                area = _surface_area(n)
+                area = SPHERE_AREA[n]
 
                 def lq(vals):
                     integrand = np.abs(vals) ** q * xi ** (n - 1)

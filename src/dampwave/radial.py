@@ -23,9 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureError
-from .multipliers import phi_values_grid
-
-_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
+from .multipliers import DEFAULT_K, SPHERE_AREA, phi_values_grid
 
 
 def gaussian_spectrum(amplitude=1.0, width=1.0):
@@ -54,7 +52,7 @@ def _simpson(y, dx):
                               + 2.0 * np.sum(y[2:-2:2]))
 
 
-def _grids(profile, t, xi_max, pts_per_period, log_pts_per_decade, K=0.5):
+def _grids(profile, t, xi_max, pts_per_period, log_pts_per_decade):
     """(log-zone grid, linear grid); either may be None.
 
     The log zone resolves the K/Lambda(t) structure at low frequency; it is
@@ -63,7 +61,7 @@ def _grids(profile, t, xi_max, pts_per_period, log_pts_per_decade, K=0.5):
     """
     Lam = float(profile.Lambda_at(t))
     xi_split = min(30.0 / Lam, 1.0, xi_max)  # tau < 30 and xi <= 1 below
-    xi_lo = max(xi_max * 1e-12, (K / Lam) * 1e-4, 1e-12)
+    xi_lo = max(xi_max * 1e-12, (DEFAULT_K / Lam) * 1e-4, 1e-12)
     log_grid = None
     lin_grid = None
     if xi_split > xi_lo:
@@ -107,7 +105,7 @@ def _norms_once(mu, profile, v0_hat, v1_hat, t, n, s, xi_max,
             dxi = (xi[-1] - xi[0]) / (len(xi) - 1)
             l2_sq += _simpson(f_l2, dxi)
             en_sq += _simpson(f_en, dxi)
-    const = _AREA[n] / (2.0 * math.pi) ** n
+    const = SPHERE_AREA[n] / (2.0 * math.pi) ** n
     return math.sqrt(max(const * l2_sq, 0.0)), math.sqrt(max(const * en_sq, 0.0))
 
 

@@ -36,11 +36,10 @@ def test_ac1_multiplier_exactness():
 
     Tuples are drawn from mu in [1,5], built-in profiles, s in [0,2],
     t-s in [0,50], xi in [1e-3, 50]; draws whose total phase
-    Lambda(t)*xi exceeds 3000 are redrawn: beyond that the propagator
-    would itself fall back to the oracle (no dual route to compare), and
-    the oracle cost would blow the runtime budget.  mu is kept 1e-3 away
-    from odd integers, where the order snap makes 1e-6 agreement
-    unrepresentative of either route.
+    Lambda(t)*xi exceeds 3000 are redrawn: the oracle's cost grows with
+    the phase span, and beyond that it would blow the runtime budget.
+    mu is kept 1e-3 away from odd integers, where the order snap makes
+    1e-6 agreement unrepresentative of either route.
     """
     t_start = time.time()
     rng = np.random.default_rng(SEED)

@@ -149,15 +149,41 @@ def test_specfun_selftest(tmp_path):
 
 
 def test_multiplier_check(tmp_path, capsys):
-    cfg = write_json(tmp_path / "mc.json", {
-        "mu": 3.5, "profile": {"kind": "constant"}, "samples": 12,
-        "seed": 2, "dt_max": 5.0, "tau_cap": 100.0})
+    cfg = write_json(tmp_path / "mc.json", _mc_config())
     out = tmp_path / "mc.csv"
     assert main(["multiplier-check", "--config", cfg, "--out", str(out)]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["worst_rel_err"] < 1e-6
     header = out.read_text().splitlines()[0]
     assert header.split(",")[:6] == ["mu", "profile", "s", "t", "xi", "zone"]
+
+
+def _mc_config(**overrides):
+    cfg = {"mu": 3.5, "profile": {"kind": "constant"}, "samples": 12,
+           "seed": 2, "dt_max": 5.0, "tau_cap": 100.0}
+    cfg.update(overrides)
+    return cfg
+
+
+@pytest.mark.parametrize("cfg, name", [
+    (_mc_config(mu="abc"), "mu"),
+    (_mc_config(samples="x"), "samples"),
+    (_mc_config(samples=0), "samples"),
+    (_mc_config(xi_range=[0, 5]), "xi_range"),
+    (_mc_config(xi_range=[5.0, 1.0]), "xi_range"),
+    (_mc_config(xi_range=[1.0]), "xi_range"),
+    (_mc_config(xi_range="x"), "xi_range"),
+    (_mc_config(tau_cap=0.0), "tau_cap"),
+    (_mc_config(mu=float("nan")), "every number must be finite"),
+    (_mc_config(profile="x"), "profile"),
+    ([1, 2], "config must be a JSON object"),
+])
+def test_multiplier_check_malformed_config_exit_code(tmp_path, capsys, cfg, name):
+    path = write_json(tmp_path / "mc.json", cfg)
+    assert main(["multiplier-check", "--config", path,
+                 "--out", str(tmp_path / "mc.csv")]) == 2
+    assert f"error: {name}" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "mc.csv")
 
 
 def test_plotdata_loglog(tmp_path, capsys):
