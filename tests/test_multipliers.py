@@ -184,12 +184,17 @@ def test_dedup_exact_on_3d_grid():
         _assert_exact(mu, prof, s, t, xi)
 
 
-def test_dedup_exact_shuffled():
+def test_dedup_exact_shuffled_with_fallback():
     rng = np.random.default_rng(7)
     xi = np.concatenate([rng.uniform(0.0, 4.0, 40), [0.0, 0.0, 1.5, 1.5]])
     xi = np.concatenate([xi, xi[:10]])
     rng.shuffle(xi)
     _assert_exact(3.0, CONST, 0.2, 1.3, xi)
+    # the mode that once took the ODE fallback now makes the whole call raise
+    xi = np.concatenate([xi, [2.0 * mp.TAU_MAX]])
+    rng.shuffle(xi)
+    with pytest.raises(DomainError, match="TAU_MAX"):
+        mp.phi_values_grid(3.0, CONST, 0.2, 0.2 + 1e-7, xi)
 
 
 @pytest.mark.parametrize("s, t, xi, match", [
