@@ -20,7 +20,8 @@ import sys
 import numpy as np
 
 from . import analysis, multipliers, radial, specfun
-from .config import _build_profile, _number, _number_list, _section, validate_config
+from .config import (_build_profile, _number, _number_list, _section, parse_json,
+                     validate_config)
 from .errors import (DampwaveError, DegenerateFitError, DomainError,
                      FitWindowError, IntegrationFailureError, QuadratureError,
                      ResourceCapError, UnsupportedOrderError, ValidationError)
@@ -100,7 +101,7 @@ def _multiplier_check_params(cfg):
 
 def _cmd_multiplier_check(args):
     with open(args.config) as fh:
-        cfg = json.load(fh)
+        cfg = parse_json(fh.read())
     profile, num = _multiplier_check_params(cfg)
     mu, count, K = num["mu"], num["samples"], num["K"]
     rng = np.random.default_rng(num["seed"])
@@ -172,7 +173,7 @@ def _cmd_decay(args):
 
 def _cmd_scan(args):
     with open(args.config) as fh:
-        scan_cfg = json.load(fh)
+        scan_cfg = parse_json(fh.read())
     result = analysis.run_scan(scan_cfg)
     result.write_dir(args.out)
     summary = {"cells": len(result.cells),

@@ -158,6 +158,14 @@ def _number_list(section, key, default, violations):
         return list(default)
 
 
+def parse_json(text):
+    """Parse config text; malformed JSON is a ValidationError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError([f"config is not valid JSON: {exc}"]) from None
+
+
 def validate_config(raw):
     """Parse and validate a raw config (dict or JSON string) into a RunConfig.
 
@@ -166,7 +174,7 @@ def validate_config(raw):
     returned config and emits them via warnings.warn.
     """
     if isinstance(raw, str):
-        raw = json.loads(raw)
+        raw = parse_json(raw)
     if not isinstance(raw, dict):
         raise ValidationError(["config must be a JSON object"])
     violations = []

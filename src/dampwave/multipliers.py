@@ -154,10 +154,9 @@ def _phi_values_flat(mu, profile, s, t, xi):
                 continue
             sg, tg, xe = sigma[mask], tau[mask], xf[mask]
             jy = jy_extended if extended else _jy
-            js_r, ys_r = jy(rho, sg)
-            js_m, ys_m = jy(rho - 1.0, sg)
-            jt_r, yt_r = jy(rho, tg)
-            jt_m, yt_m = jy(rho - 1.0, tg)
+            # orders rho and rho - 1 from one call per argument set
+            js_r, ys_r, js_m, ys_m = jy(rho, sg)
+            jt_r, yt_r, jt_m, yt_m = jy(rho, tg)
             # Im[conj(a) b] = Re(a) Im(b) - Im(a) Re(b)
             psi_1_rm1_p1 = (js_m * yt_r - ys_m * jt_r) * xe
             psi_0_r_0 = js_r * yt_r - ys_r * jt_r
@@ -202,7 +201,7 @@ def mode_ode_oracle_batch(mu, sigma, tau, lam_s_xi, lam_t_xi, w0, w1,
         return np.stack([per_span * wp,
                          per_span * (-w - (mu / np.maximum(tau_x, 1e-300)) * wp)])
 
-    if float(np.max(per_span)) == 0.0:
+    if per_span.size == 0 or float(np.max(per_span)) == 0.0:
         yf = y0
     else:
         yf = _ode.integrate_batch(rhs, 0.0, 1.0, y0, rtol=rtol, atol=atol)

@@ -186,6 +186,14 @@ def test_multiplier_check_malformed_config_exit_code(tmp_path, capsys, cfg, name
     assert not os.path.exists(tmp_path / "mc.csv")
 
 
+@pytest.mark.parametrize("command", ["simulate", "multiplier-check", "scan"])
+def test_invalid_json_config_exit_code(tmp_path, capsys, command):
+    path = tmp_path / "bad.json"
+    path.write_text('{"profile": ')
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "error: config is not valid JSON" in capsys.readouterr().err
+
+
 def test_plotdata_loglog(tmp_path, capsys):
     cfg = run_config(tmp_path, T=60.0, mu=4.0)
     series_path = tmp_path / "series.csv"

@@ -63,6 +63,14 @@ def test_mode_oracle_examples():
     assert (v, vp) == (1.0 + 0.0j, 0.0 + 0.0j)
 
 
+def test_oracle_batches_accept_empty_input():
+    e = np.zeros(0)
+    v, vp = mp.mode_ode_oracle_batch(2.0, e, e, e, e, e, e)
+    assert v.shape == vp.shape == (0,)
+    entries = mp.oracle_matrix_batch(2.0, e, e, e, e)
+    assert [x.shape for x in entries] == [(0,)] * 4
+
+
 def test_phi_matches_oracle_small_sample():
     rng = np.random.default_rng(42)
     profs = (CONST, POLY, EXPO)

@@ -313,8 +313,8 @@ def test_duhamel_step_evaluates_distinct_modes_once(bessel_points):
     st = sv.FieldState(u=u0, ut=np.zeros_like(u0), t=0.0)
     nl = sv.NonlinearitySpec(form="signed_power", p=2.0, gamma=0.0)
     sv.duhamel_step(st, CONST, 4.0, grid, nl, 0.05)
-    # two half-step multipliers, each with two orders at sigma and at tau
-    assert 0 < bessel_points[0] <= 8 * len(np.unique(grid.xi))
+    # two half-step multipliers, each one call (both orders) at sigma and at tau
+    assert 0 < bessel_points[0] <= 4 * len(np.unique(grid.xi))
 
 
 def test_radial_norm_evaluates_every_node(bessel_points, monkeypatch):
@@ -331,5 +331,6 @@ def test_radial_norm_evaluates_every_node(bessel_points, monkeypatch):
     radial.linear_norm_radial(4.0, CONST, radial.gaussian_spectrum(1.0, 1.0),
                               radial.gaussian_spectrum(0.7, 1.2), 10.0, rtol=1e-5,
                               pts_per_period=12, log_pts_per_decade=60)
-    # quadrature nodes are distinct: deduplication drops none of them
-    assert nodes[0] > 0 and bessel_points[0] == 4 * nodes[0]
+    # quadrature nodes are distinct: deduplication drops none of them; one
+    # call per node at sigma and one at tau, each returning both orders
+    assert nodes[0] > 0 and bessel_points[0] == 2 * nodes[0]

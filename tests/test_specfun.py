@@ -193,12 +193,60 @@ def test_domain_errors():
 
 
 def test_vectorized_matches_scalar():
-    taus = np.array([0.01, 1.0, 6.9, 7.1, 15.9, 16.1, 300.0])
-    for nu in [0.0, -1.5, 2.3]:
-        vec = specfun.bessel_j(nu, taus)
-        assert vec.shape == taus.shape
-        for t, v in zip(taus, vec):
-            assert v == specfun.bessel_j(nu, float(t))
+    # a value must not depend on the other points of its batch
+    taus = np.array([0.01, 1.0, 6.9, 7.0, 7.1, 12.5, 15.9, 15.999, 16.1, 300.0])
+    for nu in [0.0, -1.5, 2.3, 0.3, -7.7, 10.0]:
+        vec = specfun._jy(nu, taus)
+        for part in vec:
+            assert part.shape == taus.shape
+        for i, t in enumerate(taus):
+            assert specfun._jy(nu, float(t)) == tuple(float(part[i]) for part in vec)
+
+
+STEED_ORDERS = [0.0, 0.3, -0.3, 1.0, -1.0, 1.5, -1.5, 2.5, -2.5, 7.7, -7.7, 10.0, -11.0]
+
+
+def test_steed_branch_matches_extended_series():
+    x = np.linspace(7.0, 16.0, 181, endpoint=False)
+    for nu in STEED_ORDERS:
+        got = specfun._jy_steed(nu, x)
+        ref = specfun._jy_series(nu, x, extended=True)
+        for g, r in zip(got, ref):
+            r = r.astype(float)
+            assert np.all(np.abs(g - r) <= 1e-13 * np.maximum(1.0, np.abs(r))), nu
+
+
+def test_derived_lower_order_matches_direct_pass():
+    # the pass at order a also yields a - 1; compare with a pass at a - 1
+    x = np.linspace(7.0, 16.0, 181, endpoint=False)
+    for a in [1.0, 1.3, 1.5, 2.5, 7.7, 10.0, 11.0]:
+        derived = specfun._steed_pass(a, x)[2:]
+        direct = specfun._steed_pass(a - 1.0, x)[:2]
+        for d, r in zip(derived, direct):
+            assert np.all(np.abs(d - r) <= 1e-14 * np.maximum(1.0, np.abs(r))), a
+
+
+def test_jy_returns_both_orders():
+    taus = np.array([0.5, 6.0, 7.5, 14.0, 20.0, 900.0])
+    for nu in [0.3, -1.5, 4.0]:
+        both = specfun._jy(nu, taus)
+        lower = specfun._jy(nu - 1.0, taus)[:2]
+        for got, ref in zip(both[2:], lower):
+            assert got == pytest.approx(ref, rel=1e-13, abs=1e-14)
+        ext = specfun.jy_extended(nu, taus)
+        assert len(ext) == 4 and all(part.dtype == LD for part in ext)
+        for got, ref in zip(ext, both):
+            assert got.astype(float) == pytest.approx(ref, rel=1e-13, abs=1e-14)
+
+
+def test_plain_double_longdouble_warns_once(monkeypatch):
+    monkeypatch.setattr(specfun, "_LD_IS_DOUBLE", True)
+    monkeypatch.setattr(specfun, "_ld_warned", False)
+    with pytest.warns(RuntimeWarning, match="longdouble"):
+        specfun.jy_extended(0.5, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        specfun.jy_extended(0.5, 2.0)
 
 
 def test_selftest_rows_are_small():
