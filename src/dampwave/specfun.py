@@ -14,14 +14,14 @@ The float64 path has three branches:
   logarithmic limit series with digamma terms, which is uniformly stable.
 * ``7 <= tau < 16``: Steed's method (Barnett, Feng, Steed & Goldfarb 1974;
   Numerical Recipes, bessjy), in float64.  Miller's downward recurrence
-  gives the ratio ``J'/J`` (the first continued fraction) at an order
-  ``|m| <= 1/2``, the second continued fraction gives ``(J' + iY')/(J + iY)``
-  there, the Wronskian fixes the scale and Y climbs back up by forward
-  recurrence.  Both fractions are cut at depths fixed for this argument
-  range, so every point does the same work whatever else is in the batch;
-  absolute error ~1e-15 against 40-digit references for ``|nu| <= 12``.
-  One pass at ``a >= 0`` yields orders ``a`` and ``a - 1``; negative orders
-  come from the reflection identities.
+  (the first continued fraction, carried down) gives ``J'/J`` at an order
+  ``|m| <= 1/2``, the second continued fraction gives
+  ``(J' + iY')/(J + iY)`` there, the Wronskian fixes the scale and Y climbs
+  back up by forward recurrence.  Both fractions are cut at depths fixed
+  for this argument range, so every point does the same work whatever else
+  is in the batch; the error is ~1e-15 of max(1, |value|) against 40-digit
+  references for ``|nu| <= 12``.  One pass at ``a >= 0`` yields orders
+  ``a`` and ``a - 1``; negative orders come from the reflection identities.
 * ``tau >= 16``: Hankel asymptotic expansion (10 to 25 terms, early exit at
   the minimal term) evaluated at the reduced order ``nu0 = nu - floor(nu)``
   and ``nu0 + 1``, lifted to ``nu`` by the three-term recurrence.  With
