@@ -445,7 +445,6 @@ class ScanResult:
         raise KeyError(params)
 
     def write_dir(self, outdir):
-        series_by_index = self.series
         os.makedirs(outdir, exist_ok=True)
         with open(os.path.join(outdir, "outcomes.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -468,10 +467,9 @@ class ScanResult:
                                "reason": c.reason} for c in self.cells]}
         with open(os.path.join(outdir, "manifest.json"), "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
-        if series_by_index:
-            for idx, series in series_by_index.items():
-                name = "cell_" + "_".join(map(str, idx)) + ".csv"
-                series.to_csv(os.path.join(outdir, name))
+        for idx, series in self.series.items():
+            name = "cell_" + "_".join(map(str, idx)) + ".csv"
+            series.to_csv(os.path.join(outdir, name))
 
 
 def _classify_cell(series, final, classify_opts):
@@ -523,22 +521,57 @@ def _run_cell(args):
         return idx, params, dict(outcome="undecided", reason=f"{type(exc).__name__}: {exc}"), None
 
 
+# scan axis -> (section of the run config, key); None is the top level
+_SCAN_AXES = {"p": ("nonlinearity", "p"), "eps": ("data", "amplitude"),
+              "mu": (None, "mu"), "gamma": ("nonlinearity", "gamma")}
+
+
 def _apply_cell_params(raw, params):
     import copy
 
     cfg = copy.deepcopy(raw)
-    for key, val in params.items():
-        if key == "p":
-            cfg.setdefault("nonlinearity", {})["p"] = val
-        elif key == "eps":
-            cfg.setdefault("data", {})["amplitude"] = val
-        elif key == "mu":
-            cfg["mu"] = val
-        elif key == "gamma":
-            cfg.setdefault("nonlinearity", {})["gamma"] = val
-        else:
-            raise DomainError(f"unknown scan axis {key!r}")
+    for axis, val in params.items():
+        section, key = _SCAN_AXES[axis]
+        (cfg if section is None else cfg.setdefault(section, {}))[key] = val
     return cfg
+
+
+_CLASSIFY_KEYS = ("threshold_m", "window_fraction", "min_slope", "max_residual",
+                  "growth_tol")
+
+
+def _scan_params(scan_config):
+    """Validated (axes, base, classify, workers, gamma0, n0) of a scan config."""
+    from .config import _number, _number_list, _section
+    from .errors import ValidationError
+
+    if not isinstance(scan_config, dict):
+        raise ValidationError(["scan config must be a JSON object"])
+    violations = [f"missing required key {key!r}" for key in ("base", "axes")
+                  if key not in scan_config]
+    base = _section(scan_config, "base", violations)
+    axes_raw = _section(scan_config, "axes", violations)
+    if "axes" in scan_config and not axes_raw:
+        violations.append("scan needs at least one axis")
+    for name, values in axes_raw.items():
+        if name not in _SCAN_AXES:
+            violations.append(f"unknown scan axis {name!r}")
+        elif values == []:
+            violations.append(f"axes.{name} must not be empty")
+    axes = {name: _number_list(axes_raw, name, [], violations, "axes.")
+            for name in axes_raw if name in _SCAN_AXES}
+    classify = _section(scan_config, "classify", violations)
+    for key in (k for k in _CLASSIFY_KEYS if k in classify):
+        _number(classify, key, None, float, violations, "classify.")
+    workers = (_number(scan_config, "workers", 1, int, violations) if "workers" in scan_config
+               else int(os.environ.get("DAMPWAVE_THREADS", os.cpu_count() or 1)))
+    _section(base, "data", violations)  # the eps axis writes into it
+    gamma0 = _number(_section(base, "nonlinearity", violations), "gamma", 0.0, float,
+                     violations, "base.nonlinearity.")
+    n0 = _number(_section(base, "grid", violations), "n", 1, int, violations, "base.grid.")
+    if violations:
+        raise ValidationError(violations)
+    return axes, base, classify, workers, gamma0, n0
 
 
 def run_scan(scan_config):
@@ -547,12 +580,10 @@ def run_scan(scan_config):
     ``scan_config`` keys: base (raw run config), axes (subset of p, eps,
     mu, gamma -> value lists), classify (thresholds), workers.  Results
     merge deterministically by cell index regardless of worker count.
+    The structure is validated (ValidationError) before any cell runs; a
+    cell whose run config fails is classified undecided.
     """
-    axes = {k: list(map(float, v)) for k, v in scan_config["axes"].items()}
-    if not axes:
-        raise DomainError("scan needs at least one axis")
-    base = scan_config["base"]
-    classify_opts = dict(scan_config.get("classify", {}))
+    axes, base, classify_opts, workers, gamma0, n0 = _scan_params(scan_config)
     crit_m = classify_opts.get("threshold_m", 1.0)
 
     axis_names = sorted(axes)
@@ -562,35 +593,21 @@ def run_scan(scan_config):
         raw = _apply_cell_params(base, params)
         jobs.append((idx, params, raw, classify_opts))
 
-    workers = int(scan_config.get("workers",
-                                  os.environ.get("DAMPWAVE_THREADS", os.cpu_count() or 1)))
     workers = max(1, min(workers, len(jobs)))
-    results = {}
-    series_by_index = {}
-    if workers == 1:
-        for job in jobs:
-            idx, params, verdict, series = _run_cell(job)
-            results[idx] = (params, verdict)
-            if series is not None:
-                series_by_index[idx] = series
-    else:
+    outputs = None
+    if workers > 1:
         import concurrent.futures as cf
 
         try:
             with cf.ProcessPoolExecutor(max_workers=workers) as pool:
-                for idx, params, verdict, series in pool.map(_run_cell, jobs):
-                    results[idx] = (params, verdict)
-                    if series is not None:
-                        series_by_index[idx] = series
-        except (OSError, PermissionError):
-            for job in jobs:
-                idx, params, verdict, series = _run_cell(job)
-                results[idx] = (params, verdict)
-                if series is not None:
-                    series_by_index[idx] = series
+                outputs = list(pool.map(_run_cell, jobs))
+        except OSError:  # no process pool here: run the cells in this process
+            pass
+    if outputs is None:
+        outputs = [_run_cell(job) for job in jobs]
+    results = {idx: (params, verdict) for idx, params, verdict, _ in outputs}
+    series_by_index = {idx: series for idx, _, _, series in outputs if series is not None}
 
-    gamma0 = float(base.get("nonlinearity", {}).get("gamma", 0.0))
-    n0 = int(base.get("grid", {}).get("n", 1))
     cells = []
     for idx in sorted(results):
         params, verdict = results[idx]

@@ -200,17 +200,8 @@ def predicted_decay_exponents(n, mu, m=1.0):
     """Reference decay slopes of the linear estimates, for plot annotations."""
     base = n * (1.0 / m - 0.5)
     border = 2.0 + n * (2.0 / m - 1.0)
-    out = {"L2": base}
-    if mu > border:
-        out["energy"] = base + 1.0
-        out["energy_log"] = False
-    elif mu == border:
-        out["energy"] = mu / 2.0
-        out["energy_log"] = True
-    else:
-        out["energy"] = mu / 2.0
-        out["energy_log"] = False
-    return out
+    return {"L2": base, "energy": base + 1.0 if mu > border else mu / 2.0,
+            "energy_log": mu == border}
 
 
 def _cmd_plotdata(args):

@@ -30,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -129,14 +130,28 @@ def _build_profile(spec, violations):
     return None
 
 
+def _is_number(value):
+    """A JSON number: bools are ints to Python but not numbers here."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _number(section, key, default, cast, violations, prefix=""):
-    """``cast(section[key])``, or ``default`` with a violation if that fails."""
+    """``cast(section[key])``, or ``default`` with a violation if that fails.
+
+    The value must be a number; with ``cast=int`` also an integral one.
+    """
     value = section.get(key, default)
     try:
-        return cast(value)
+        if not _is_number(value):
+            raise TypeError
+        out = cast(value)
     except (TypeError, ValueError, OverflowError):
         violations.append(f"{prefix}{key} must be a number, got {value!r}")
         return default
+    if cast is int and out != value:
+        violations.append(f"{prefix}{key} must be an integer, got {value!r}")
+        return default
+    return out
 
 
 def _section(raw, key, violations):
@@ -148,14 +163,13 @@ def _section(raw, key, violations):
     return dict(value)
 
 
-def _number_list(section, key, default, violations):
+def _number_list(section, key, default, violations, prefix=""):
     """``[float(v) for v in section[key]]``, or ``default`` with a violation."""
     value = section.get(key, default)
-    try:
+    if isinstance(value, (list, tuple)) and all(_is_number(v) for v in value):
         return [float(v) for v in value]
-    except (TypeError, ValueError, OverflowError):
-        violations.append(f"{key} must be a list of numbers, got {value!r}")
-        return list(default)
+    violations.append(f"{prefix}{key} must be a list of numbers, got {value!r}")
+    return list(default)
 
 
 def parse_json(text):
@@ -201,19 +215,16 @@ def validate_config(raw):
     damping = None
     if profile is not None and len(damping_keys) == 1:
         key, value = damping_keys[0]
+        value = _number({key: value}, key, None, float, violations)
         try:
-            if key == "mu":
-                damping = _profiles.DampingSpec.from_mu(value)
-            else:
-                damping = _profiles.DampingSpec.from_nu(value, profile)
+            if value is not None:
+                damping = (_profiles.DampingSpec.from_mu(value) if key == "mu"
+                           else _profiles.DampingSpec.from_nu(value, profile))
         except DomainError as exc:
             violations.append(str(exc))
-        except (TypeError, ValueError):
-            violations.append(f"{key} must be a number, got {value!r}")
 
-    T = raw.get("T")
-    if T is not None and (not isinstance(T, (int, float)) or not T > 0.0
-                          or not math.isfinite(T)):
+    T = _number(raw, "T", None, float, violations) if "T" in raw else None
+    if T is not None and not 0.0 < T < math.inf:
         violations.append("T must be a positive finite number")
         T = None
     if profile is not None and T is not None and T > profile.t_max:
@@ -229,8 +240,6 @@ def validate_config(raw):
         width=_number(data_raw, "width", 1.0, float, violations, "data."),
         seed=_number(data_raw, "seed", raw.get("seed", DEFAULTS["seed"]), int,
                      violations, "data."))
-    if not (data.width > 0.0 and math.isfinite(data.width)):
-        violations.append("data.width must be a positive finite number")
     if data.kind not in _R0_FACTOR:
         violations.append(f"unknown data kind {data.kind!r}")
         r0 = 0.0
@@ -258,22 +267,25 @@ def validate_config(raw):
 
     nl_raw = _section(raw, "nonlinearity", violations)
     nonlin = None
+    nl_gamma = _number(nl_raw, "gamma", 0.0, float, violations, "nonlinearity.")
     try:
         nonlin = NonlinearitySpec(
             form=nl_raw.get("form", "zero"),
             p=_number(nl_raw, "p", 2.0, float, violations, "nonlinearity."),
-            gamma=_number(nl_raw, "gamma", 0.0, float, violations, "nonlinearity."),
+            gamma=nl_gamma,
             scaling=nl_raw.get("scaling", "plain"))
     except DomainError as exc:
         violations.append(f"nonlinearity: {exc}")
 
     w_raw = _section(raw, "weighted", violations)
-    weighted = WeightedNormSpec(enabled=bool(w_raw.get("enabled", False)),
-                                mu=w_raw.get("mu"))
+    enabled = w_raw.get("enabled", False)
+    if not isinstance(enabled, bool):
+        violations.append(f"weighted.enabled must be true or false, got {enabled!r}")
+    w_mu = (None if w_raw.get("mu") is None
+            else _number(w_raw, "mu", None, float, violations, "weighted."))
+    weighted = WeightedNormSpec(enabled=enabled is True, mu=w_mu)
 
     K = _number(raw, "K", DEFAULTS["K"], float, violations)
-    if not 0.0 < K < 1.0:
-        violations.append("K must lie in (0, 1)")
     dt_max = _number(raw, "dt_max", DEFAULTS["dt_max"], float, violations)
     blowup_factor = _number(raw, "blowup_factor", DEFAULTS["blowup_factor"], float,
                             violations)
@@ -282,6 +294,20 @@ def validate_config(raw):
                                  DEFAULTS["samples_per_decade"], int, violations)
     seed = _number(raw, "seed", DEFAULTS["seed"], int, violations)
     fit_window = _number(raw, "fit_window", DEFAULTS["fit_window"], float, violations)
+
+    for name, ok, need in (
+            ("data.width", 0.0 < data.width < math.inf, "a positive finite number"),
+            ("dt_max", 0.0 < dt_max < math.inf, "a positive finite number"),
+            ("K", 0.0 < K < 1.0, "in (0, 1)"),
+            ("blowup_factor", 1.0 < blowup_factor < math.inf, "a finite number above 1"),
+            ("m_list", all(0.0 < m < math.inf for m in m_list), "positive finite numbers"),
+            ("data.amplitude", math.isfinite(data.amplitude), "finite"),
+            ("grid.L", L is None or math.isfinite(L), "finite"),
+            ("nonlinearity.gamma", math.isfinite(nl_gamma), "finite"),
+            ("weighted.mu", w_mu is None or math.isfinite(w_mu), "finite"),
+            ("fit_window", math.isfinite(fit_window), "finite")):
+        if not ok:
+            violations.append(f"{name} must be {need}")
 
     mem = _number(raw, "memory_cap_bytes", DEFAULTS["memory_cap_bytes"], int,
                   violations)

@@ -123,50 +123,38 @@ def _phi_values_flat(mu, profile, s, t, xi):
     Lam_s = float(profile.Lambda_at(s))
     Lam_t = float(profile.Lambda_at(t))
 
-    phi0 = np.empty_like(xi)
-    phi1 = np.empty_like(xi)
-    dphi0 = np.empty_like(xi)
-    dphi1 = np.empty_like(xi)
+    phi0, phi1, dphi0, dphi1 = (np.empty_like(xi) for _ in range(4))
 
     zero = xi == 0.0
     if np.any(zero):
         vals = _zero_mode_values(mu, lam_s, lam_t, Lam_s, Lam_t)
         phi0[zero], phi1[zero], dphi0[zero], dphi1[zero] = vals
 
-    pos = ~zero
-    if np.any(pos):
-        xf = xi[pos]
-        sigma = Lam_s * xf
-        tau = Lam_t * xf
-        if np.any(tau > TAU_MAX):
-            raise DomainError(
-                f"phase Lambda(t)|xi| = {float(np.max(tau)):g} exceeds "
-                f"TAU_MAX = {TAU_MAX:g}, beyond which the Hankel route loses accuracy")
-        p0 = np.empty_like(xf)
-        p1 = np.empty_like(xf)
-        d0 = np.empty_like(xf)
-        d1 = np.empty_like(xf)
+    sigma = Lam_s * xi
+    tau = Lam_t * xi
+    if np.any(tau > TAU_MAX):
+        raise DomainError(
+            f"phase Lambda(t)|xi| = {float(np.max(tau)):g} exceeds "
+            f"TAU_MAX = {TAU_MAX:g}, beyond which the Hankel route loses accuracy")
+    half_pi = float(_PI / 2.0)
+    for mask, jy in ((~zero & (sigma < _EXT_SIGMA), jy_extended),
+                     (sigma >= _EXT_SIGMA, _jy)):
+        if not np.any(mask):
+            continue
         pref = Lam_t**rho / Lam_s ** (rho - 1.0)
-        half_pi = float(_PI / 2.0)
-        for mask, extended in ((sigma < _EXT_SIGMA, True),
-                               (sigma >= _EXT_SIGMA, False)):
-            if not np.any(mask):
-                continue
-            sg, tg, xe = sigma[mask], tau[mask], xf[mask]
-            jy = jy_extended if extended else _jy
-            # orders rho and rho - 1 from one call per argument set
-            js_r, ys_r, js_m, ys_m = jy(rho, sg)
-            jt_r, yt_r, jt_m, yt_m = jy(rho, tg)
-            # Im[conj(a) b] = Re(a) Im(b) - Im(a) Re(b)
-            psi_1_rm1_p1 = (js_m * yt_r - ys_m * jt_r) * xe
-            psi_0_r_0 = js_r * yt_r - ys_r * jt_r
-            psi_2_rm1_0 = (js_m * yt_m - ys_m * jt_m) * xe**2
-            psi_1_r_m1 = (js_r * yt_m - ys_r * jt_m) * xe
-            p0[mask] = (-half_pi * pref) * psi_1_rm1_p1.astype(float)
-            p1[mask] = (half_pi * pref / lam_s) * psi_0_r_0.astype(float)
-            d0[mask] = (-half_pi * lam_t * pref) * psi_2_rm1_0.astype(float)
-            d1[mask] = (half_pi * lam_t / lam_s * pref) * psi_1_r_m1.astype(float)
-        phi0[pos], phi1[pos], dphi0[pos], dphi1[pos] = p0, p1, d0, d1
+        sg, tg, xe = sigma[mask], tau[mask], xi[mask]
+        # orders rho and rho - 1 from one call per argument set
+        js_r, ys_r, js_m, ys_m = jy(rho, sg)
+        jt_r, yt_r, jt_m, yt_m = jy(rho, tg)
+        # Im[conj(a) b] = Re(a) Im(b) - Im(a) Re(b)
+        psi_1_rm1_p1 = (js_m * yt_r - ys_m * jt_r) * xe
+        psi_0_r_0 = js_r * yt_r - ys_r * jt_r
+        psi_2_rm1_0 = (js_m * yt_m - ys_m * jt_m) * xe**2
+        psi_1_r_m1 = (js_r * yt_m - ys_r * jt_m) * xe
+        phi0[mask] = (-half_pi * pref) * psi_1_rm1_p1.astype(float)
+        phi1[mask] = (half_pi * pref / lam_s) * psi_0_r_0.astype(float)
+        dphi0[mask] = (-half_pi * lam_t * pref) * psi_2_rm1_0.astype(float)
+        dphi1[mask] = (half_pi * lam_t / lam_s * pref) * psi_1_r_m1.astype(float)
 
     return phi0, phi1, dphi0, dphi1
 

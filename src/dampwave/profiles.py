@@ -117,14 +117,15 @@ class _CubicTable:
         return h * (y[i] * ih00 + h * d[i] * ih10 + y[i + 1] * ih01 + h * d[i + 1] * ih11)
 
     def _locate(self, t):
-        i = np.searchsorted(self.x, t, side="right") - 1
-        return np.clip(i, 0, len(self.x) - 2)
-
-    def value(self, t):
+        """(t as a 1-d array, the segment of each entry); t within the table."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         if np.any(t_arr > self.x[-1] + 1e-12):
             raise DomainError("time beyond the end of the custom profile table")
-        i = self._locate(t_arr)
+        i = np.searchsorted(self.x, t_arr, side="right") - 1
+        return t_arr, np.clip(i, 0, len(self.x) - 2)
+
+    def value(self, t):
+        t_arr, i = self._locate(t)
         h = self.x[i + 1] - self.x[i]
         s = (t_arr - self.x[i]) / h
         h00 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
@@ -135,13 +136,9 @@ class _CubicTable:
         return out if np.ndim(t) else float(out[0])
 
     def integral(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(t_arr > self.x[-1] + 1e-12):
-            raise DomainError("time beyond the end of the custom profile table")
-        i = self._locate(t_arr)
-        out = np.empty_like(t_arr)
-        for j, (ii, tt) in enumerate(zip(i, t_arr)):
-            out[j] = self.cum[ii] + self._segment_integral(self.x, self.y, self.d, ii, tt)
+        t_arr, i = self._locate(t)
+        out = np.array([self.cum[ii] + self._segment_integral(self.x, self.y, self.d, ii, tt)
+                        for ii, tt in zip(i, t_arr)])
         return out if np.ndim(t) else float(out[0])
 
 
@@ -241,6 +238,10 @@ class DampingSpec:
 
     mu: float
     nu: float | None = None
+
+    def __post_init__(self):
+        if not math.isfinite(self.mu):
+            raise DomainError(f"mu must be finite, got {self.mu!r}")
 
     @classmethod
     def from_mu(cls, mu):

@@ -31,7 +31,6 @@ from . import multipliers
 from .analysis import NormSeries
 from .errors import DomainError
 
-BLOWUP_FACTOR_DEFAULT = 1.0e6
 WEIGHT_SATURATION = 1.0e300
 
 

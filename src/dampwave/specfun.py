@@ -7,21 +7,23 @@ accuracy is ~1e-10 or better for ``tau`` in [1e-6, 1e4] away from zeros
 
 Every evaluation returns both orders of a Hankel cross product,
 ``(J_nu, Y_nu, J_{nu-1}, Y_{nu-1})``, from one pass over the arguments.
-The float64 path has three branches:
+``_jy`` (float64) and ``jy_extended`` (80-bit ``longdouble``) run the same
+three branches; the precision is the dtype of the argument array:
 
-* ``tau < 7``: ascending power series in float64.  Non-integer orders get Y
-  from ``(J_nu*cos(nu*pi) - J_{-nu}) / sin(nu*pi)``; integer orders use the
+* ``tau < 7``: ascending power series.  Non-integer orders get Y from
+  ``(J_nu*cos(nu*pi) - J_{-nu}) / sin(nu*pi)``; integer orders use the
   logarithmic limit series with digamma terms, which is uniformly stable.
 * ``7 <= tau < 16``: Steed's method (Barnett, Feng, Steed & Goldfarb 1974;
-  Numerical Recipes, bessjy), in float64.  Miller's downward recurrence
-  (the first continued fraction, carried down) gives ``J'/J`` at an order
+  Numerical Recipes, bessjy).  Miller's downward recurrence (the first
+  continued fraction, carried down) gives ``J'/J`` at an order
   ``|m| <= 1/2``, the second continued fraction gives
   ``(J' + iY')/(J + iY)`` there, the Wronskian fixes the scale and Y climbs
   back up by forward recurrence.  Both fractions are cut at depths fixed
   for this argument range, so every point does the same work whatever else
-  is in the batch; the error is ~1e-15 of max(1, |value|) against 40-digit
-  references for ``|nu| <= 12``.  One pass at ``a >= 0`` yields orders
-  ``a`` and ``a - 1``; negative orders come from the reflection identities.
+  is in the batch.  Against 40-digit references for ``|nu| <= 10`` the
+  error is ~1e-15 of max(1, |value|) in float64 and ~1e-18 in
+  ``longdouble``.  One pass at ``a >= 0`` yields orders ``a`` and
+  ``a - 1``; negative orders come from the reflection identities.
 * ``tau >= 16``: Hankel asymptotic expansion (10 to 25 terms, early exit at
   the minimal term) evaluated at the reduced order ``nu0 = nu - floor(nu)``
   and ``nu0 + 1``, lifted to ``nu`` by the three-term recurrence.  With
@@ -30,11 +32,6 @@ The float64 path has three branches:
   order would not converge for ``|nu| >~ 6`` until far larger ``tau``.
   Both orders share one ladder when their reduced orders agree.  Negative
   orders come from the reflection identities.
-
-``jy_extended`` keeps the two-branch scheme in 80-bit ``longdouble``: the
-ascending series below 16, where its alternating sum cancels up to ~7
-digits, and the asymptotic branch above.  It is the only user of
-``longdouble``.
 
 Orders within 1e-6 of an integer are snapped to the integer (with a
 warning): below that distance the reflection cancellation exceeds even
@@ -58,16 +55,19 @@ _PI = _LD("3.14159265358979323846264338327950288")
 _EULER_GAMMA = _LD("0.577215664901532860606512090082402431")
 _SNAP = 1e-6
 
-# The alternating series cancels like exp(tau); it loses too many digits in
-# float64 from tau = 7 up, where Steed's method takes over on that path.
-_SERIES_SWITCH = 16.0
+# The alternating series cancels like exp(tau); from tau = 7 up Steed's
+# method takes over, and from _SERIES_SWITCH up the asymptotic expansion
+# (the benchmark's tracer reads that name to count non-asymptotic points).
 _STEED_SWITCH = 7.0
+_SERIES_SWITCH = 16.0
 
 # Depths at which Steed's method cuts its fractions on [_STEED_SWITCH,
 # _SERIES_SWITCH): Miller's recurrence starts this many orders above the
-# pass order, and the second fraction keeps this many levels.  Truncation
-# falls below double rounding at 32 and 12 over that range for orders up to
-# 12 (the slowest cases are tau -> 16 for the first, tau = 7 for the second).
+# pass order, and the second fraction keeps this many levels.  The slowest
+# cases are tau -> 16 for the first and tau = 7 for the second.  For orders
+# up to 12, truncation falls below float64 rounding at 32 and 12 (margins 8
+# and 4).  In longdouble the first reaches rounding (~4e-19) at 36 (margin
+# 4); the second leaves ~1.2e-18 at 16, which bounds the extended error.
 _MILLER_DEPTH = 40
 _CF2_DEPTH = 16
 
@@ -77,7 +77,7 @@ _ld_warned = False
 
 
 def _nterms(tau_max, nu_abs):
-    return min(180, int(18 + 2.4 * tau_max + nu_abs))
+    return int(18 + 2.4 * tau_max + nu_abs)
 
 
 def _check_args(nu, tau):
@@ -145,20 +145,18 @@ def _y_int_series(n, x):
 
 
 def _jy_series_typed(nu, x):
-    """(J, Y) by series in x's dtype; x in (0, _SERIES_SWITCH)."""
-    n_round = round(nu)
-    delta = nu - n_round
-    if delta == 0.0:
-        n = int(n_round)
-        jn = _j_series(float(abs(n)), x)
-        yn = _y_int_series(abs(n), x)
-        sign = x.dtype.type(-1.0 if (n < 0 and n % 2 != 0) else 1.0)
-        return sign * jn, sign * yn
-    jp = _j_series(nu, x)
-    jm = _j_series(-nu, x)
-    cospi, sinpi = _cospi_sinpi(nu, x.dtype.type)
-    y = (jp * cospi - jm) / sinpi
-    return jp, y
+    """(J_nu, Y_nu, J_{nu-1}, Y_{nu-1}) by series in x's dtype; x < _STEED_SWITCH."""
+    out = []
+    for order in (nu, nu - 1.0):
+        n = round(order)
+        if order == n:
+            sign = x.dtype.type(-1.0 if (n < 0 and n % 2 != 0) else 1.0)
+            out += (sign * _j_series(float(abs(n)), x), sign * _y_int_series(abs(n), x))
+        else:
+            jp = _j_series(order, x)
+            cospi, sinpi = _cospi_sinpi(order, x.dtype.type)
+            out += (jp, (jp * cospi - _j_series(-order, x)) / sinpi)
+    return out
 
 
 def _cospi_sinpi(v, dt):
@@ -176,9 +174,11 @@ def _reflect(v, j, y):
 
 
 def _steed_pass(a, x):
-    """(J_a, Y_a, J_{a-1}, Y_{a-1}) for a >= 0, float64 x in [7, 16)."""
+    """(J_a, Y_a, J_{a-1}, Y_{a-1}) for a >= 0, x in [7, 16), in x's dtype."""
     nl = int(a + 0.5)
-    m = a - nl  # |m| <= 1/2, where the second fraction converges fast
+    # |m| <= 1/2, where the second fraction converges fast; m, and with it
+    # every order m + n below, is held in x's dtype
+    m = x.dtype.type(a) - nl
     xi2 = 2.0 / x
     # Miller: C_{k-1} = (2k/x) C_k - C_{k+1} down from J_{a+depth+1} = 0
     hi, j = np.zeros_like(x), np.ones_like(x)
@@ -201,7 +201,7 @@ def _steed_pass(a, x):
     q = 1.0 + c * tr
     # Wronskian J_m Y'_m - J'_m Y_m = 2/(pi x) with Y_m = gam J_m
     gam = (p - f) / q
-    jm = np.copysign(np.sqrt((xi2 / math.pi) / ((p - f) * gam + q)), hi)
+    jm = np.copysign(np.sqrt((xi2 / x.dtype.type(_PI)) / ((p - f) * gam + q)), hi)
     scale = jm / hi
     y = jm * gam
     y_lo = y * (p + q / gam + m / x)  # Y_{m-1} = Y'_m + (m/x) Y_m
@@ -211,30 +211,13 @@ def _steed_pass(a, x):
 
 
 def _jy_steed(nu, x):
-    """(J_nu, Y_nu, J_{nu-1}, Y_{nu-1}) for float64 x in [7, 16), one pass."""
+    """(J_nu, Y_nu, J_{nu-1}, Y_{nu-1}) for x in [7, 16), one pass in x's dtype."""
     if nu >= 0.0:
         return _steed_pass(nu, x)
     # orders nu - 1 and nu reflect a = 1 - nu and a - 1 = -nu
-    a = 1.0 - nu
+    a = 1.0 - x.dtype.type(nu)
     j_a, y_a, j_b, y_b = _steed_pass(a, x)
     return (*_reflect(-nu, j_b, y_b), *_reflect(a, j_a, y_a))
-
-
-def _jy_series(nu, x64, extended=False):
-    """(J_nu, Y_nu, J_{nu-1}, Y_{nu-1}) below _SERIES_SWITCH: longdouble
-    series when ``extended``, else float64 series below _STEED_SWITCH and
-    Steed's method from there up."""
-    if extended:
-        x = x64.astype(_LD)
-        return (*_jy_series_typed(nu, x), *_jy_series_typed(nu - 1.0, x))
-    out = [np.empty_like(x64) for _ in range(4)]
-    lo = x64 < _STEED_SWITCH
-    if np.any(lo):
-        _scatter(out, lo, (*_jy_series_typed(nu, x64[lo]),
-                           *_jy_series_typed(nu - 1.0, x64[lo])))
-    if np.any(~lo):
-        _scatter(out, ~lo, _jy_steed(nu, x64[~lo]))
-    return out
 
 
 def _hankel_asym_jy(nu, tau):
@@ -274,15 +257,14 @@ def _asym_ladder(nu0, work, top):
     return rungs
 
 
-def _jy_large(nu, tau, extended=False):
+def _jy_large(nu, tau):
     """(J_nu, Y_nu, J_{nu-1}, Y_{nu-1}) for tau >= 16 via reduced-order
     asymptotics + upward recurrence; one ladder per distinct reduced order."""
-    work = tau.astype(_LD) if extended else tau
     steps = [(order, abs(order), int(math.floor(abs(order)))) for order in (nu, nu - 1.0)]
     tops = {}
     for _, anu, n in steps:
         tops[anu - n] = max(tops.get(anu - n, 0), n)
-    ladders = {nu0: _asym_ladder(nu0, work, top) for nu0, top in tops.items()}
+    ladders = {nu0: _asym_ladder(nu0, tau, top) for nu0, top in tops.items()}
     out = []
     for order, anu, n in steps:
         j, y = ladders[anu - n][n]
@@ -294,27 +276,29 @@ def _snap_order(nu):
     if 0.0 < abs(nu - round(nu)) < _SNAP:
         warnings.warn(
             f"order {nu!r} within {_SNAP:g} of an integer: evaluating at the integer",
-            RuntimeWarning, stacklevel=4)
+            RuntimeWarning, stacklevel=5)
         return float(round(nu))
     return nu
 
 
-def _scatter(out, mask, parts):
-    # one array per part, not one (4, n) block: with the block, glibc kept
-    # the radial decay series 1.6 MB (3.5%) larger in resident memory
-    for o, part in zip(out, parts):
-        o[mask] = part
-
-
-def _jy_flat(nu, flat, extended=False):
-    """[J_nu, Y_nu, J_{nu-1}, Y_{nu-1}] as arrays of flat's length."""
-    out = [np.empty(flat.shape, dtype=_LD if extended else float) for _ in range(4)]
-    m_ser = flat < _SERIES_SWITCH
-    if np.any(m_ser):
-        _scatter(out, m_ser, _jy_series(nu, flat[m_ser], extended=extended))
-    if np.any(~m_ser):
-        _scatter(out, ~m_ser, _jy_large(nu, flat[~m_ser], extended=extended))
+def _jy_flat(nu, flat):
+    """[J_nu, Y_nu, J_{nu-1}, Y_{nu-1}] as arrays of flat's length and dtype."""
+    out = [np.empty_like(flat) for _ in range(4)]
+    lo, hi = flat < _STEED_SWITCH, flat >= _SERIES_SWITCH
+    for mask, branch in ((lo, _jy_series_typed), (~(lo | hi), _jy_steed), (hi, _jy_large)):
+        if np.any(mask):
+            # one array per part, not one (4, n) block: with the block, glibc
+            # kept the radial decay series 1.6 MB (3.5%) larger in resident memory
+            for o, part in zip(out, branch(nu, flat[mask])):
+                o[mask] = part
     return out
+
+
+def _jy_shaped(nu, tau, dtype):
+    """The four parts as dtype arrays of tau's shape."""
+    nu, arr = _check_args(nu, tau)
+    out = _jy_flat(_snap_order(nu), np.atleast_1d(arr).ravel().astype(dtype, copy=False))
+    return tuple(v.reshape(arr.shape) for v in out)
 
 
 def _jy(nu, tau):
@@ -324,32 +308,25 @@ def _jy(nu, tau):
     Arrays of tau's shape, or floats for a scalar tau.  ``nu`` is checked
     against MAX_ORDER; ``nu - 1`` is evaluated as a by-product.
     """
-    nu, arr = _check_args(nu, tau)
-    nu = _snap_order(nu)
-    out = _jy_flat(nu, np.atleast_1d(arr).ravel())
-    if np.ndim(tau) == 0:
-        return tuple(float(v[0]) for v in out)
-    return tuple(v.reshape(np.shape(arr)) for v in out)
+    out = _jy_shaped(nu, tau, np.float64)
+    return tuple(float(v) for v in out) if np.ndim(tau) == 0 else out
 
 
 def jy_extended(nu, tau):
     """(J_nu, Y_nu, J_{nu-1}, Y_{nu-1}) as longdouble arrays of tau's shape,
     for cancellation-sensitive combinations.
 
-    Series below 16 and asymptotics above, every branch accumulating and
-    returning extended precision, which keeps downstream products of large
-    small-argument values accurate to ~1e-19 relative.  Where longdouble is
-    plain double the first call warns once: that accuracy is then not met.
+    The same branches as ``_jy``, run in extended precision, which keeps
+    downstream products of large small-argument values accurate to ~1e-19
+    relative.  Where longdouble is plain double the first call warns once:
+    that accuracy is then not met.
     """
     global _ld_warned
     if _LD_IS_DOUBLE and not _ld_warned:
         _ld_warned = True
         warnings.warn("numpy.longdouble is plain double here: extended-precision "
                       "Bessel values lose their extra digits", RuntimeWarning, stacklevel=2)
-    nu, arr = _check_args(nu, tau)
-    nu = _snap_order(nu)
-    out = _jy_flat(nu, np.atleast_1d(arr).ravel(), extended=True)
-    return tuple(v.reshape(np.shape(arr)) for v in out)
+    return _jy_shaped(nu, tau, _LD)
 
 
 def bessel_j(nu, tau):

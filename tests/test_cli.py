@@ -70,11 +70,35 @@ def test_simulate_negative_width_exit_code(tmp_path, capsys):
     ({"grid": "x"}, "grid"),
     ({"nonlinearity": {"form": "signed_power", "p": "x"}}, "nonlinearity.p"),
     ({"profile": {"kind": "constant", "lambda0": "x"}}, "profile"),
+    ({"T": True}, "T"),
+    ({"T": None}, "T"),
+    ({"seed": True}, "seed"),
+    ({"grid": {"n": 1.7, "N": 256}}, "grid.n"),
+    ({"m_list": [0]}, "m_list"),
+    ({"m_list": [True]}, "m_list"),
+    ({"data": {"kind": "gaussian", "amplitude": float("nan"), "width": 1.0}},
+     "data.amplitude"),
+    ({"blowup_factor": -1}, "blowup_factor"),
+    ({"weighted": {"enabled": True, "mu": "x"}}, "weighted.mu"),
+    ({"weighted": {"enabled": "yes"}}, "weighted.enabled"),
+    ({"mu": float("nan")}, "mu"),
+    ({"nonlinearity": {"form": "zero", "gamma": float("inf")}}, "nonlinearity.gamma"),
 ])
 def test_simulate_non_numeric_value_exit_code(tmp_path, capsys, overrides, name):
     cfg = run_config(tmp_path, **overrides)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
     assert f"error: {name}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dt_max", [0.0, -0.1, float("inf"), float("nan")])
+def test_dt_max_must_be_positive_and_finite(dt_max):
+    # validation only: a zero step would make simulate loop forever
+    from dampwave.config import validate_config
+    from dampwave.errors import ValidationError
+
+    with pytest.raises(ValidationError, match="dt_max"):
+        validate_config({"profile": {"kind": "constant"}, "mu": 2.0, "T": 1.0,
+                         "grid": {"n": 1, "N": 64}, "dt_max": dt_max})
 
 
 def test_config_roundtrip_and_nested_damping(tmp_path):
@@ -192,6 +216,28 @@ def test_invalid_json_config_exit_code(tmp_path, capsys, command):
     path.write_text('{"profile": ')
     assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "error: config is not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg, name", [
+    ({"base": {}}, "missing required key 'axes'"),
+    ({"axes": {"eps": [0.1]}}, "missing required key 'base'"),
+    ({"base": {}, "axes": {"eps": ["x"]}}, "axes.eps"),
+    ({"base": {}, "axes": {"eps": []}}, "axes.eps"),
+    ({"base": {}, "axes": {}}, "scan needs at least one axis"),
+    ({"base": {}, "axes": {"width": [1.0]}}, "unknown scan axis"),
+    ({"base": {}, "axes": {"eps": [0.1]}, "workers": "x"}, "workers"),
+    ({"base": {"data": "x"}, "axes": {"eps": [0.1]}}, "data"),
+    ({"base": {"grid": {"n": 1.5}}, "axes": {"eps": [0.1]}}, "base.grid.n"),
+    ({"base": {}, "axes": {"eps": [0.1]}, "classify": {"min_slope": "x"}},
+     "classify.min_slope"),
+    ([1, 2], "scan config must be a JSON object"),
+])
+def test_scan_malformed_config_exit_code(tmp_path, capsys, cfg, name):
+    path = write_json(tmp_path / "scan.json", cfg)
+    outdir = tmp_path / "scan"
+    assert main(["scan", "--config", path, "--out", str(outdir)]) == 2
+    assert f"error: {name}" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def test_plotdata_loglog(tmp_path, capsys):

@@ -208,12 +208,52 @@ STEED_ORDERS = [0.0, 0.3, -0.3, 1.0, -1.0, 1.5, -1.5, 2.5, -2.5, 7.7, -7.7, 10.0
 
 def test_steed_branch_matches_extended_series():
     x = np.linspace(7.0, 16.0, 181, endpoint=False)
+    xl = x.astype(LD)
     for nu in STEED_ORDERS:
         got = specfun._jy_steed(nu, x)
-        ref = specfun._jy_series(nu, x, extended=True)
+        ref = specfun._jy_series_typed(nu, xl)
         for g, r in zip(got, ref):
             r = r.astype(float)
             assert np.all(np.abs(g - r) <= 1e-13 * np.maximum(1.0, np.abs(r))), nu
+
+
+def half_integer_jy_ld(x):
+    """{order: (J, Y)} for orders -3.5..2.5 in longdouble: closed forms at
+    +-1/2, carried to the other orders by the three-term recurrence."""
+    pi = LD("3.14159265358979323846264338327950288")
+    amp = np.sqrt(LD(2) / (pi * x))
+    sin, cos = np.sin(x), np.cos(x)
+    jy = {0.5: (amp * sin, -amp * cos), -0.5: (amp * cos, amp * sin)}
+    for v in (0.5, 1.5):  # C_{v+1} = (2v/x) C_v - C_{v-1}
+        jy[v + 1.0] = tuple(LD(2.0 * v) / x * c - d for c, d in zip(jy[v], jy[v - 1.0]))
+    for v in (-0.5, -1.5, -2.5):  # C_{v-1} = (2v/x) C_v - C_{v+1}
+        jy[v - 1.0] = tuple(LD(2.0 * v) / x * c - d for c, d in zip(jy[v], jy[v + 1.0]))
+    return jy
+
+
+def test_extended_steed_matches_half_integer_closed_forms():
+    # the extended path on [7, 16) runs Steed's method in longdouble
+    x = np.linspace(7.0, 16.0, 181, endpoint=False).astype(LD)
+    ref = half_integer_jy_ld(x)
+    for nu in (0.5, -0.5, 1.5, -1.5, 2.5, -2.5):
+        got = specfun.jy_extended(nu, x)
+        want = (*ref[nu], *ref[nu - 1.0])
+        for g, r in zip(got, want):
+            assert g.dtype == LD
+            assert np.all(np.abs(g - r) <= 1e-17 * np.maximum(1.0, np.abs(r))), nu
+
+
+def test_extended_negative_orders_match_reflection():
+    # a negative order runs one pass at a = 1 - nu; formed in float64, a
+    # would round and shift the order by up to ~1e-16
+    x = np.linspace(7.0, 16.0, 91, endpoint=False).astype(LD)
+    pi = LD("3.14159265358979323846264338327950288")
+    for nu in (0.1, 0.3, 2.7, 7.7):
+        j, y = specfun.jy_extended(nu, x)[:2]
+        cos, sin = np.cos(pi * LD(nu)), np.sin(pi * LD(nu))
+        got = specfun.jy_extended(-nu, x)[:2]
+        for g, r in zip(got, (cos * j - sin * y, sin * j + cos * y)):
+            assert np.all(np.abs(g - r) <= 1e-17 * np.maximum(1.0, np.abs(r))), nu
 
 
 def test_derived_lower_order_matches_direct_pass():
