@@ -38,6 +38,7 @@ from .specfun import HankelPair, bessel_j, bessel_y, hankel_pair, hankel_plus
 from .multipliers import (
     BoundReport,
     MultiplierValues,
+    NodeStore,
     Zone,
     ZoneSampleSpec,
     certify_zone_bounds,
@@ -83,7 +84,7 @@ __all__ = [
     "damping_at", "dissipativity_check", "exponential_profile",
     "lambda_at", "Lambda_at", "polynomial_profile",
     "HankelPair", "bessel_j", "bessel_y", "hankel_pair", "hankel_plus",
-    "BoundReport", "MultiplierValues", "Zone", "ZoneSampleSpec",
+    "BoundReport", "MultiplierValues", "NodeStore", "Zone", "ZoneSampleSpec",
     "certify_zone_bounds", "classify_zone", "mode_ode_oracle", "phi_values",
     "phi_values_grid", "rho_of",
     "DecayFit", "ExponentReport", "GNReport", "NormSeries", "ScanResult",

@@ -563,8 +563,19 @@ def _scan_params(scan_config):
     classify = _section(scan_config, "classify", violations)
     for key in (k for k in _CLASSIFY_KEYS if k in classify):
         _number(classify, key, None, float, violations, "classify.")
-    workers = (_number(scan_config, "workers", 1, int, violations) if "workers" in scan_config
-               else int(os.environ.get("DAMPWAVE_THREADS", os.cpu_count() or 1)))
+    env = os.environ.get("DAMPWAVE_THREADS")
+    if "workers" in scan_config or env is None:
+        workers_key = "workers"
+        workers = _number(scan_config, "workers", os.cpu_count() or 1, int, violations)
+    else:
+        workers_key = "DAMPWAVE_THREADS"
+        try:
+            workers = int(env)
+        except ValueError:
+            violations.append(f"DAMPWAVE_THREADS must be an integer, got {env!r}")
+            workers = 1
+    if workers < 1:
+        violations.append(f"{workers_key} must be at least 1, got {workers}")
     _section(base, "data", violations)  # the eps axis writes into it
     gamma0 = _number(_section(base, "nonlinearity", violations), "gamma", 0.0, float,
                      violations, "base.nonlinearity.")
@@ -593,7 +604,7 @@ def run_scan(scan_config):
         raw = _apply_cell_params(base, params)
         jobs.append((idx, params, raw, classify_opts))
 
-    workers = max(1, min(workers, len(jobs)))
+    workers = min(workers, len(jobs))
     outputs = None
     if workers > 1:
         import concurrent.futures as cf

@@ -240,7 +240,7 @@ def validate_config(raw):
         width=_number(data_raw, "width", 1.0, float, violations, "data."),
         seed=_number(data_raw, "seed", raw.get("seed", DEFAULTS["seed"]), int,
                      violations, "data."))
-    if data.kind not in _R0_FACTOR:
+    if not isinstance(data.kind, str) or data.kind not in _R0_FACTOR:
         violations.append(f"unknown data kind {data.kind!r}")
         r0 = 0.0
     else:

@@ -21,6 +21,9 @@ cross determinant
 
 where sigma = Lambda(s)|xi|.  The Im-form is used throughout: it is exactly
 real, which is also why all four entries carry zero imaginary part.
+The entries are formed in two stages: J and Y at orders rho and rho - 1 at
+one time node, for the sorted distinct |xi| (NodeStore), then the cross
+products of the nodes at s and t.
 
 The module also provides a brute-force per-mode ODE oracle (independent of
 the special functions), the frequency-zone classifier, and an empirical
@@ -90,7 +93,80 @@ def _zero_mode_values(mu, lam_s, lam_t, Lam_s, Lam_t):
     return 1.0, phi1, 0.0, dphi1
 
 
-def phi_values_grid(mu, profile, s, t, xi):
+class _Node:
+    """Bessel values on sigma = Lambda(t)|xi| at one time t, for sorted |xi| > 0.
+
+    J and Y at orders rho and rho - 1 are kept in float64 on a suffix of the
+    arguments and in longdouble on a prefix; each part grows when a pair of
+    times asks for more of it.
+    """
+
+    def __init__(self, store, t):
+        self.rho = store.rho
+        self.lam = float(store.profile.lambda_at(t))
+        self.Lam = float(store.profile.Lambda_at(t))
+        self.args = self.Lam * store.nonzero
+        # arguments below _EXT_SIGMA form a prefix, because |xi| is sorted
+        self.n_ext = int(np.searchsorted(self.args, _EXT_SIGMA))
+        self.lo = self.args.size
+        self.double = [np.empty(0)] * 4
+        self.hi = 0
+        self.ext = [np.empty(0, dtype=np.longdouble)] * 4
+
+    def double_from(self, lo):
+        """Float64 (J_rho, Y_rho, J_{rho-1}, Y_{rho-1}) on args[lo:]."""
+        if lo < self.lo:
+            new = _jy(self.rho, self.args[lo:self.lo])
+            self.double = [np.concatenate(p) for p in zip(new, self.double)]
+            self.lo = lo
+        return [v[lo - self.lo:] for v in self.double]
+
+    def extended_to(self, hi):
+        """Longdouble (J_rho, Y_rho, J_{rho-1}, Y_{rho-1}) on args[:hi]."""
+        if hi > self.hi:
+            new = jy_extended(self.rho, self.args[self.hi:hi])
+            self.ext = [np.concatenate(p) for p in zip(self.ext, new)]
+            self.hi = hi
+        return [v[:hi] for v in self.ext]
+
+
+class NodeStore:
+    """Bessel values per time node for one (mu, profile, xi).
+
+    Holds the distinct values of xi, sorted, with the inverse that gathers
+    them back to xi's shape, and the Bessel values at the last MAX_NODES
+    times it was asked for.  A caller stepping through time passes one
+    store to every phi_values_grid call, so a time shared by consecutive
+    pairs (s, t) is evaluated once.
+    """
+
+    MAX_NODES = 3
+
+    def __init__(self, mu, profile, xi):
+        self.rho = _check_orders(mu)
+        self.mu = mu
+        self.profile = profile
+        self.xi = xi
+        arr = np.asarray(xi, dtype=float)
+        self.shape = arr.shape
+        self.values, self.inverse = np.unique(arr.ravel(), return_inverse=True)
+        if not np.all(np.isfinite(self.values)):
+            raise DomainError("xi must be finite")
+        if self.values.size and self.values[0] < 0.0:
+            raise DomainError("xi must be nonnegative")
+        self.n_zero = int(self.values.size > 0 and self.values[0] == 0.0)
+        self.nonzero = self.values[self.n_zero:]
+        self.nodes = {}  # t -> _Node, oldest first
+
+    def node(self, t):
+        if t not in self.nodes:
+            if len(self.nodes) == self.MAX_NODES:
+                del self.nodes[next(iter(self.nodes))]
+            self.nodes[t] = _Node(self, t)
+        return self.nodes[t]
+
+
+def phi_values_grid(mu, profile, s, t, xi, *, store=None):
     """Vectorized propagator entries over an array of frequencies.
 
     Returns four float64 arrays (phi0, phi1, dphi0, dphi1) of xi's shape.
@@ -98,63 +174,61 @@ def phi_values_grid(mu, profile, s, t, xi):
     for a non-finite or negative xi and, when t > s, for a mode whose phase
     tau = Lambda(t)|xi| exceeds TAU_MAX.  The entries depend on |xi| alone,
     so they are evaluated once per distinct value of xi and gathered back.
+    ``store`` is a NodeStore built for (mu, profile, xi), which keeps the
+    Bessel values at each time for the next call; without it the call
+    builds a store of its own.
     """
-    xi = np.asarray(xi, dtype=float)
-    values, inverse = np.unique(xi.ravel(), return_inverse=True)
-    entries = _phi_values_flat(mu, profile, s, t, values)
-    return tuple(e[inverse].reshape(xi.shape) for e in entries)
-
-
-def _phi_values_flat(mu, profile, s, t, xi):
-    """Propagator entries at every point of the 1-D array xi."""
-    rho = _check_orders(mu)
+    if store is None:
+        store = NodeStore(mu, profile, xi)
+    elif not (store.mu == mu and store.profile is profile and store.xi is xi):
+        raise ValueError("store was built for another (mu, profile, xi)")
     if not (0.0 <= s <= t):
         raise DomainError("need 0 <= s <= t")
-    if not np.all(np.isfinite(xi)):
-        raise DomainError("xi must be finite")
-    if np.any(xi < 0.0):
-        raise DomainError("xi must be nonnegative")
     if t == s:
         # zero elapsed time: exactly the identity propagator
-        return (np.ones(xi.shape), np.zeros(xi.shape),
-                np.zeros(xi.shape), np.ones(xi.shape))
-    lam_s = float(profile.lambda_at(s))
-    lam_t = float(profile.lambda_at(t))
-    Lam_s = float(profile.Lambda_at(s))
-    Lam_t = float(profile.Lambda_at(t))
+        return (np.ones(store.shape), np.zeros(store.shape),
+                np.zeros(store.shape), np.ones(store.shape))
+    entries = _assemble(store, store.node(s), store.node(t))
+    return tuple(e[store.inverse].reshape(store.shape) for e in entries)
 
-    phi0, phi1, dphi0, dphi1 = (np.empty_like(xi) for _ in range(4))
 
-    zero = xi == 0.0
-    if np.any(zero):
-        vals = _zero_mode_values(mu, lam_s, lam_t, Lam_s, Lam_t)
-        phi0[zero], phi1[zero], dphi0[zero], dphi1[zero] = vals
-
-    sigma = Lam_s * xi
-    tau = Lam_t * xi
-    if np.any(tau > TAU_MAX):
+def _assemble(store, at_s, at_t):
+    """Propagator entries at the store's distinct |xi| from two time nodes."""
+    if at_t.args.size and at_t.args[-1] > TAU_MAX:
         raise DomainError(
-            f"phase Lambda(t)|xi| = {float(np.max(tau)):g} exceeds "
+            f"phase Lambda(t)|xi| = {float(at_t.args[-1]):g} exceeds "
             f"TAU_MAX = {TAU_MAX:g}, beyond which the Hankel route loses accuracy")
+    rho = store.rho
+    lam_s, Lam_s, lam_t, Lam_t = at_s.lam, at_s.Lam, at_t.lam, at_t.Lam
+    phi0, phi1, dphi0, dphi1 = (np.empty_like(store.values) for _ in range(4))
+    z = store.n_zero
+    if z:
+        vals = _zero_mode_values(store.mu, lam_s, lam_t, Lam_s, Lam_t)
+        phi0[0], phi1[0], dphi0[0], dphi1[0] = vals
+
+    # sigma = Lambda(s)|xi| < _EXT_SIGMA in extended precision, the rest in
+    # float64; orders rho and rho - 1 come from one call per argument set
+    k = at_s.n_ext
+    n = store.nonzero.size
+    parts = []
+    if k:
+        parts.append((0, k, at_s.extended_to(k), at_t.extended_to(k)))
+    if k < n:
+        parts.append((k, n, at_s.double_from(k), at_t.double_from(k)))
     half_pi = float(_PI / 2.0)
-    for mask, jy in ((~zero & (sigma < _EXT_SIGMA), jy_extended),
-                     (sigma >= _EXT_SIGMA, _jy)):
-        if not np.any(mask):
-            continue
-        pref = Lam_t**rho / Lam_s ** (rho - 1.0)
-        sg, tg, xe = sigma[mask], tau[mask], xi[mask]
-        # orders rho and rho - 1 from one call per argument set
-        js_r, ys_r, js_m, ys_m = jy(rho, sg)
-        jt_r, yt_r, jt_m, yt_m = jy(rho, tg)
+    pref = Lam_t**rho / Lam_s ** (rho - 1.0)
+    for lo, hi, (js_r, ys_r, js_m, ys_m), (jt_r, yt_r, jt_m, yt_m) in parts:
+        xe = store.nonzero[lo:hi]
+        out = slice(z + lo, z + hi)
         # Im[conj(a) b] = Re(a) Im(b) - Im(a) Re(b)
         psi_1_rm1_p1 = (js_m * yt_r - ys_m * jt_r) * xe
         psi_0_r_0 = js_r * yt_r - ys_r * jt_r
         psi_2_rm1_0 = (js_m * yt_m - ys_m * jt_m) * xe**2
         psi_1_r_m1 = (js_r * yt_m - ys_r * jt_m) * xe
-        phi0[mask] = (-half_pi * pref) * psi_1_rm1_p1.astype(float)
-        phi1[mask] = (half_pi * pref / lam_s) * psi_0_r_0.astype(float)
-        dphi0[mask] = (-half_pi * lam_t * pref) * psi_2_rm1_0.astype(float)
-        dphi1[mask] = (half_pi * lam_t / lam_s * pref) * psi_1_r_m1.astype(float)
+        phi0[out] = (-half_pi * pref) * psi_1_rm1_p1.astype(float)
+        phi1[out] = (half_pi * pref / lam_s) * psi_0_r_0.astype(float)
+        dphi0[out] = (-half_pi * lam_t * pref) * psi_2_rm1_0.astype(float)
+        dphi1[out] = (half_pi * lam_t / lam_s * pref) * psi_1_r_m1.astype(float)
 
     return phi0, phi1, dphi0, dphi1
 

@@ -12,6 +12,14 @@ and the full-step propagator is composed of the two exact half steps.
 Power nonlinearities are evaluated pointwise in physical space and their
 transform is truncated by the 2/3 rule every step.
 
+The multipliers of a pair (s, t) are cross products of Bessel values at
+Lambda(s)|xi| and Lambda(t)|xi|.  ``simulate`` keeps them per time node in
+one multipliers.NodeStore for the run: a step's midpoint serves both of its
+half steps, and its end is the next step's start, so each step evaluates
+two new node sets (tm and t1) instead of four.  The store also sorts the
+grid's |xi| once per run.  Blow-up (a non-finite value or max|u| above the
+threshold) is checked after every step and dated by that step.
+
 Because data are compactly concentrated and the propagation speed is
 lambda(t), solutions on a box with L >= R0 + (Lambda(T) - lambda0) + margin
 coincide with the whole-space solutions; the domain-sizing rule in the
@@ -296,46 +304,53 @@ def norms(state, profile, mu, grid, m_list=(1.0,), weighted=None):
     return NormSample(**sample)
 
 
-def _propagate_spectra(mu, profile, s, t, grid, uh, uth):
-    p0, p1, d0, d1 = multipliers.phi_values_grid(mu, profile, s, t, grid.xi)
+def _propagate_spectra(mu, profile, s, t, grid, uh, uth, store):
+    p0, p1, d0, d1 = multipliers.phi_values_grid(mu, profile, s, t, grid.xi, store=store)
     return p0 * uh + p1 * uth, d0 * uh + d1 * uth
 
 
-def linear_step(state, profile, mu, grid, dt):
-    """Advance (u, u_t) by the exact linear propagator over [t, t+dt]."""
+def linear_step(state, profile, mu, grid, dt, *, store=None):
+    """Advance (u, u_t) by the exact linear propagator over [t, t+dt].
+
+    ``store`` is a multipliers.NodeStore for (mu, profile, grid.xi) that
+    carries Bessel values from one step to the next.
+    """
     if dt < 0.0:
         raise DomainError("dt must be nonnegative")
     if dt == 0.0:
         return state
     uh = grid.fft(state.u)
     uth = grid.fft(state.ut)
-    vh, vth = _propagate_spectra(mu, profile, state.t, state.t + dt, grid, uh, uth)
+    vh, vth = _propagate_spectra(mu, profile, state.t, state.t + dt, grid, uh, uth, store)
     return FieldState(u=grid.ifft(vh), ut=grid.ifft(vth), t=state.t + dt,
                       blowup_t=state.blowup_t)
 
 
-def duhamel_step(state, profile, mu, grid, nonlin, dt):
-    """One exact-linear + midpoint-Duhamel step (second order in dt)."""
+def duhamel_step(state, profile, mu, grid, nonlin, dt, *, store=None):
+    """One exact-linear + midpoint-Duhamel step (second order in dt).
+
+    ``store`` is as for linear_step.
+    """
     if dt < 0.0:
         raise DomainError("dt must be nonnegative")
     if dt == 0.0 or state.blowup_t is not None:
         return state
     if nonlin is None or nonlin.form == "zero":
-        return linear_step(state, profile, mu, grid, dt)
+        return linear_step(state, profile, mu, grid, dt, store=store)
     t0 = state.t
     tm = t0 + 0.5 * dt
     t1 = t0 + dt
     uh = grid.fft(state.u)
     uth = grid.fft(state.ut)
     # exact half step, nonlinearity sampled at the midpoint
-    mh, mth = _propagate_spectra(mu, profile, t0, tm, grid, uh, uth)
+    mh, mth = _propagate_spectra(mu, profile, t0, tm, grid, uh, uth, store)
     u_mid = grid.ifft(mh)
     fval = nonlin.prefactor(profile, tm) * nonlin.g(u_mid)
     if not np.all(np.isfinite(fval)):
         return replace(state, blowup_t=t1)
     fh = grid.fft(fval) * grid.dealias_mask
     # second exact half step of the homogeneous part
-    p0, p1, d0, d1 = multipliers.phi_values_grid(mu, profile, tm, t1, grid.xi)
+    p0, p1, d0, d1 = multipliers.phi_values_grid(mu, profile, tm, t1, grid.xi, store=store)
     vh = p0 * mh + p1 * mth + dt * (p1 * fh)
     vth = d0 * mh + d1 * mth + dt * (d1 * fh)
     return FieldState(u=grid.ifft(vh), ut=grid.ifft(vth), t=t1)
@@ -384,6 +399,25 @@ def output_times(T, samples_per_decade=20, t_first=0.1):
     return np.concatenate([[0.0], times])
 
 
+def _blowup(state, threshold):
+    """BlowupRecord if the step that produced ``state`` blew up, else None.
+
+    A non-finite nonlinearity is dated by ``state.blowup_t``, the end of the
+    step that met it; a non-finite field or max|u| above ``threshold`` by
+    the time of the state.
+    """
+    if state.blowup_t is not None:
+        reason, t_star = "nonlinearity overflow", state.blowup_t
+    elif not (np.all(np.isfinite(state.u)) and np.all(np.isfinite(state.ut))):
+        reason, t_star = "non-finite field", state.t
+    elif float(np.max(np.abs(state.u))) > threshold:
+        reason, t_star = "amplitude threshold", state.t
+    else:
+        return None
+    peak = float(np.max(np.abs(state.u[np.isfinite(state.u)]), initial=0.0))
+    return BlowupRecord(t_star=t_star, reason=reason, peak=peak)
+
+
 def simulate(config):
     """Run the semilinear problem to T or blow-up, recording norm tracks.
 
@@ -428,19 +462,17 @@ def simulate(config):
         rows.append(row)
 
     record(state)
+    store = multipliers.NodeStore(mu, profile, grid.xi)
+    threshold = config.blowup_factor * peak0
     for t_out in times[1:]:
-        while state.t < t_out and state.blowup_t is None:
+        while state.t < t_out and blowup is None:
             lam_now = float(profile.lambda_at(state.t))
             dt = min(config.dt_max, 0.25 * grid.h / lam_now, t_out - state.t)
-            state = duhamel_step(state, profile, mu, grid, nonlin, dt)
-        finite = bool(np.all(np.isfinite(state.u)) and np.all(np.isfinite(state.ut)))
-        over = finite and float(np.max(np.abs(state.u))) > config.blowup_factor * peak0
-        if state.blowup_t is not None or not finite or over:
-            reason = ("nonlinearity overflow" if state.blowup_t is not None
-                      else "non-finite field" if not finite else "amplitude threshold")
-            peak = float(np.max(np.abs(state.u[np.isfinite(state.u)]), initial=0.0))
-            blowup = BlowupRecord(t_star=t_out, reason=reason, peak=peak)
-            rows.append({"t": t_out, "Lambda_t": float(profile.Lambda_at(t_out)),
+            state = duhamel_step(state, profile, mu, grid, nonlin, dt, store=store)
+            blowup = _blowup(state, threshold)
+        if blowup is not None:
+            t_star = blowup.t_star
+            rows.append({"t": t_star, "Lambda_t": float(profile.Lambda_at(t_star)),
                          "L1": math.nan, "L2": math.nan, "H1_seminorm": math.nan,
                          "energy": math.nan, "Linf": math.nan, "blowup_flag": 1.0})
             break

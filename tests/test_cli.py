@@ -231,6 +231,7 @@ def test_invalid_json_config_exit_code(tmp_path, capsys, command):
     ({"base": {}, "axes": {"eps": [0.1]}, "classify": {"min_slope": "x"}},
      "classify.min_slope"),
     ([1, 2], "scan config must be a JSON object"),
+    ({"base": {}, "axes": {"eps": [0.1]}, "workers": 0}, "workers must be at least 1"),
 ])
 def test_scan_malformed_config_exit_code(tmp_path, capsys, cfg, name):
     path = write_json(tmp_path / "scan.json", cfg)
@@ -279,3 +280,60 @@ def test_plotdata_unknown_style_and_empty(tmp_path):
     assert main(["plotdata", "--in", str(tmp_path / "none.csv"),
                  "--style", "loglog_decay", "--out", str(tmp_path / "x")]) in (2, 3)
     assert not os.path.exists(str(tmp_path / "x") + ".dat")
+
+
+@pytest.mark.parametrize("value", ["abc", "", "1.5", "0", "-2"])
+def test_scan_malformed_thread_env_exit_code(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("DAMPWAVE_THREADS", value)
+    path = write_json(tmp_path / "scan.json", {"base": {}, "axes": {"eps": [0.1]}})
+    outdir = tmp_path / "scan"
+    assert main(["scan", "--config", path, "--out", str(outdir)]) == 2
+    assert "error: DAMPWAVE_THREADS" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+AC4_CONFIG = {"profile": {"kind": "constant"}, "mu": 4.0,
+              "grid": {"n": 1, "N": 4096},
+              "nonlinearity": {"form": "signed_power", "p": 4.0, "gamma": 0.0},
+              "data": {"kind": "gaussian", "amplitude": 1e-3, "width": 1.0},
+              "T": 200.0, "seed": 0}
+
+_MUTANTS = ("x", True, False, None, float("nan"), 0, -3.5, 1e308, [1.0], {"a": 1},
+            "delete")
+
+
+def _leaves(obj, path=()):
+    if isinstance(obj, dict) and obj:
+        for key, value in obj.items():
+            yield from _leaves(value, path + (key,))
+    else:
+        yield path
+
+
+def test_seeded_config_mutations_validate_or_raise_validation_error():
+    import copy
+    import random
+
+    from dampwave.config import RunConfig, validate_config
+    from dampwave.errors import ValidationError
+
+    rng = random.Random(2012)
+    leaves = list(_leaves(AC4_CONFIG))
+    outcomes = {"valid": 0, "invalid": 0}
+    for _ in range(300):
+        cfg = copy.deepcopy(AC4_CONFIG)
+        *parents, key = rng.choice(leaves)
+        section = cfg
+        for name in parents:
+            section = section[name]
+        mutant = rng.choice(_MUTANTS)
+        if mutant == "delete":
+            del section[key]
+        else:
+            section[key] = copy.deepcopy(mutant)
+        try:
+            assert isinstance(validate_config(cfg), RunConfig)
+            outcomes["valid"] += 1
+        except ValidationError:
+            outcomes["invalid"] += 1
+    assert min(outcomes.values()) > 0

@@ -166,16 +166,41 @@ def test_certify_zone_bounds_smoke():
 
 
 def _undeduplicated(mu, prof, s, t, xi):
-    """Reference: the assembly applied to every entry of xi, repeats included."""
-    xi = np.asarray(xi, dtype=float)
-    entries = mp._phi_values_flat(mu, prof, s, t, xi.ravel())
-    return tuple(e.reshape(xi.shape) for e in entries)
+    """Reference: the Hankel assembly applied to every entry of xi, repeats
+    included, with boolean precision masks and no reuse of Bessel values."""
+    xi = np.asarray(xi, dtype=float).ravel()
+    out = [np.ones(xi.shape), np.zeros(xi.shape), np.zeros(xi.shape), np.ones(xi.shape)]
+    if t > s:
+        rho = mp.rho_of(mu)
+        lam_s, lam_t = float(prof.lambda_at(s)), float(prof.lambda_at(t))
+        Lam_s, Lam_t = float(prof.Lambda_at(s)), float(prof.Lambda_at(t))
+        zero = xi == 0.0
+        for o, v in zip(out, mp._zero_mode_values(mu, lam_s, lam_t, Lam_s, Lam_t)):
+            o[zero] = v
+        sigma, tau = Lam_s * xi, Lam_t * xi
+        pref = Lam_t**rho / Lam_s ** (rho - 1.0)
+        half_pi = float(mp._PI / 2.0)
+        for mask, jy in ((~zero & (sigma < mp._EXT_SIGMA), mp.jy_extended),
+                         (sigma >= mp._EXT_SIGMA, mp._jy)):
+            if not np.any(mask):
+                continue
+            js_r, ys_r, js_m, ys_m = jy(rho, sigma[mask])
+            jt_r, yt_r, jt_m, yt_m = jy(rho, tau[mask])
+            xe = xi[mask]
+            out[0][mask] = (-half_pi * pref) * ((js_m * yt_r - ys_m * jt_r) * xe).astype(float)
+            out[1][mask] = (half_pi * pref / lam_s) * (js_r * yt_r - ys_r * jt_r).astype(float)
+            out[2][mask] = (-half_pi * lam_t * pref) * (
+                (js_m * yt_m - ys_m * jt_m) * xe**2).astype(float)
+            out[3][mask] = (half_pi * lam_t / lam_s * pref) * (
+                (js_r * yt_m - ys_r * jt_m) * xe).astype(float)
+    return out
 
 
 def _assert_exact(mu, prof, s, t, xi):
     got = mp.phi_values_grid(mu, prof, s, t, xi)
     ref = _undeduplicated(mu, prof, s, t, xi)
     for g, r in zip(got, ref):
+        r = r.reshape(np.shape(xi))
         assert g.shape == np.shape(xi) and g.dtype == np.float64
         assert np.array_equal(g, r)
     return got
@@ -222,6 +247,28 @@ def test_non_finite_xi_and_phase_beyond_tau_max_raise(s, t, xi, match):
 def test_dedup_exact_degenerate_shapes(xi):
     _assert_exact(2.5, CONST, 0.5, 2.0, xi)
     _assert_exact(2.5, CONST, 2.0, 2.0, xi)
+
+
+@pytest.mark.parametrize("mu, prof", [(4.0, CONST), (3.0, POLY), (0.6, EXPO)])
+def test_store_matches_reference_across_pairs(mu, prof):
+    # repeats, a zero mode, and |xi| crossing Lambda(t)|xi| = 1 between the
+    # times, so nodes serve pairs with different extended prefixes
+    xi = np.concatenate([[0.0], np.geomspace(0.05, 20.0, 300), [0.5, 0.5, 0.0]])
+    store = mp.NodeStore(mu, prof, xi)
+    times = [0.0, 0.3, 0.6, 0.6, 0.9, 1.5, 3.0, 3.5]
+    for s, t in [*zip(times, times[1:]), (0.3, 3.5), (0.9, 1.5)]:
+        got = mp.phi_values_grid(mu, prof, s, t, xi, store=store)
+        for g, r in zip(got, _undeduplicated(mu, prof, s, t, xi)):
+            assert np.array_equal(g, r)
+        assert len(store.nodes) <= mp.NodeStore.MAX_NODES
+
+
+def test_store_for_other_inputs_is_rejected():
+    xi = np.linspace(0.0, 2.0, 9)
+    store = mp.NodeStore(4.0, CONST, xi)
+    for args in ((3.0, CONST, xi), (4.0, POLY, xi), (4.0, CONST, xi.copy())):
+        with pytest.raises(ValueError, match="store"):
+            mp.phi_values_grid(args[0], args[1], 0.0, 1.0, args[2], store=store)
 
 
 def test_equal_xi_gives_equal_entries():

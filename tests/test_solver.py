@@ -233,16 +233,40 @@ def test_simulate_zero_data():
     assert not isinstance(final, sv.BlowupRecord)
 
 
+BLOWUP_RUN = {"profile": {"kind": "constant"}, "mu": 4.0,
+              "grid": {"n": 1, "N": 512}, "T": 30.0,
+              "nonlinearity": {"form": "absolute_power", "p": 2.2, "gamma": 0.0},
+              "data": {"kind": "gaussian", "amplitude": 1.0, "width": 1.0}}
+
+
 def test_blowup_detection_and_record():
-    raw = {"profile": {"kind": "constant"}, "mu": 4.0,
-           "grid": {"n": 1, "N": 512}, "T": 30.0,
-           "nonlinearity": {"form": "absolute_power", "p": 2.2, "gamma": 0.0},
-           "data": {"kind": "gaussian", "amplitude": 1.0, "width": 1.0}}
-    cfg = validate_config(raw)
+    cfg = validate_config(BLOWUP_RUN)
     series, final = sv.simulate(cfg)
     assert isinstance(final, sv.BlowupRecord)
     assert math.isfinite(final.t_star) and final.t_star < 30.0
     assert series.tracks["blowup_flag"][-1] == 1.0
+
+
+@pytest.mark.parametrize("factor, reason", [(1e6, "amplitude threshold"),
+                                            (1e300, "nonlinearity overflow")])
+def test_blowup_time_is_the_detecting_step(monkeypatch, factor, reason):
+    steps = []
+    duhamel_step = sv.duhamel_step
+
+    def recorded(*args, **kwargs):
+        out = duhamel_step(*args, **kwargs)
+        steps.append(out.t if out.blowup_t is None else out.blowup_t)
+        return out
+
+    monkeypatch.setattr(sv, "duhamel_step", recorded)
+    cfg = validate_config(dict(BLOWUP_RUN, blowup_factor=factor))
+    series, final = sv.simulate(cfg)
+    assert final.reason == reason
+    # the run stops at the step that detected the blow-up and dates it there
+    assert final.t_star == steps[-1] == series.times[-1]
+    if reason == "amplitude threshold":
+        # here that step lies between two output times
+        assert final.t_star not in sv.output_times(cfg.T, cfg.samples_per_decade)
 
 
 def test_realness_through_steps():
@@ -334,3 +358,56 @@ def test_radial_norm_evaluates_every_node(bessel_points, monkeypatch):
     # quadrature nodes are distinct: deduplication drops none of them; one
     # call per node at sigma and one at tau, each returning both orders
     assert nodes[0] > 0 and bessel_points[0] == 2 * nodes[0]
+
+
+@pytest.mark.parametrize("mu, prof", [(4.0, CONST), (3.0, profiles.polynomial_profile(2.0))])
+def test_node_store_steps_match_one_shot(mu, prof):
+    from dampwave.multipliers import NodeStore
+
+    grid = sv.Grid(n=2, N=32, L=10.0)
+    steps = [0.04, 0.05, 0.03, 0.05, 0.02, 0.05, 0.04, 0.05]
+    # some |xi| leave the extended range Lambda(t)|xi| < 1 during the run, so
+    # a later node's extended prefix grows to the earlier time's mask and its
+    # float64 part grows when it becomes the earlier time itself
+    lam = [float(prof.Lambda_at(t)) for t in (0.0, sum(steps))]
+    xi = np.unique(grid.xi)
+    assert np.count_nonzero((xi * lam[1] >= 1.0) & (xi * lam[0] < 1.0)) > 0
+    u0, _ = sv.make_initial_data(grid, "gaussian", amplitude=0.3, width=1.0)
+    nl = sv.NonlinearitySpec(form="signed_power", p=2.0, gamma=0.0)
+    store = NodeStore(mu, prof, grid.xi)
+    plain = sv.FieldState(u=u0, ut=np.zeros_like(u0), t=0.0)
+    stored = plain
+    for i, dt in enumerate(steps):
+        t0 = plain.t
+        if i % 3 == 2:
+            plain = sv.linear_step(plain, prof, mu, grid, dt)
+            stored = sv.linear_step(stored, prof, mu, grid, dt, store=store)
+            times = {t0, plain.t}
+        else:
+            plain = sv.duhamel_step(plain, prof, mu, grid, nl, dt)
+            stored = sv.duhamel_step(stored, prof, mu, grid, nl, dt, store=store)
+            times = {t0, t0 + 0.5 * dt, plain.t}
+        assert np.array_equal(plain.u, stored.u) and np.array_equal(plain.ut, stored.ut)
+        # the nodes of this step are kept, and never more than three
+        assert times <= set(store.nodes) and len(store.nodes) <= 3
+
+
+def test_run_evaluates_two_node_sets_per_step(bessel_points, monkeypatch):
+    steps = [0]
+    duhamel_step = sv.duhamel_step
+
+    def counted(*args, **kwargs):
+        steps[0] += 1
+        return duhamel_step(*args, **kwargs)
+
+    monkeypatch.setattr(sv, "duhamel_step", counted)
+    cfg = validate_config({"profile": {"kind": "constant"}, "mu": 4.0,
+                           "grid": {"n": 3, "N": 32},
+                           "nonlinearity": {"form": "signed_power", "p": 2.0},
+                           "data": {"kind": "gaussian", "amplitude": 0.1, "width": 1.0},
+                           "T": 0.3})
+    sv.simulate(cfg)
+    # each step shares its start with the previous step's end and evaluates
+    # its midpoint once; every time shrinks the extended prefix at most once
+    assert steps[0] > 2
+    assert 0 < bessel_points[0] <= (2 * steps[0] + 2) * len(np.unique(cfg.grid.xi))
