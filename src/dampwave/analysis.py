@@ -542,8 +542,9 @@ _CLASSIFY_KEYS = ("threshold_m", "window_fraction", "min_slope", "max_residual",
 
 def _scan_params(scan_config):
     """Validated (axes, base, classify, workers, gamma0, n0) of a scan config."""
-    from .config import _number, _number_list, _section
-    from .errors import ValidationError
+    from .config import _is_number, _number, _number_list, _section
+    from .errors import UnsupportedOrderError, ValidationError
+    from .multipliers import _check_orders
 
     if not isinstance(scan_config, dict):
         raise ValidationError(["scan config must be a JSON object"])
@@ -576,6 +577,13 @@ def _scan_params(scan_config):
             workers = 1
     if workers < 1:
         violations.append(f"{workers_key} must be at least 1, got {workers}")
+    mus = [("base.mu", base.get("mu"))] + [("axes.mu", v) for v in axes.get("mu", [])]
+    for where, mu in mus:
+        try:
+            if _is_number(mu):
+                _check_orders(mu)
+        except UnsupportedOrderError as exc:
+            violations.append(f"{where}: {exc}")
     _section(base, "data", violations)  # the eps axis writes into it
     gamma0 = _number(_section(base, "nonlinearity", violations), "gamma", 0.0, float,
                      violations, "base.nonlinearity.")

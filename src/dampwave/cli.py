@@ -20,15 +20,12 @@ import sys
 import numpy as np
 
 from . import analysis, multipliers, radial, specfun
+from .analysis import _fmt
 from .config import (_build_profile, _number, _number_list, _section, parse_json,
                      validate_config)
 from .errors import (DampwaveError, DegenerateFitError, DomainError,
                      FitWindowError, IntegrationFailureError, QuadratureError,
                      ResourceCapError, UnsupportedOrderError, ValidationError)
-
-
-def _fmt(v):
-    return format(float(v), ".17g")
 
 
 def write_snapshot(directory, state, grid, tag):

@@ -13,15 +13,16 @@ A run config is a JSON object::
       "data": {"kind": "gaussian" | "bump" | "mode_mix",
                 "amplitude": 1e-3, "width": 1.0, "seed": 0},
       "T": ...,
-      "K": 0.5, "dt_max": 0.1, "blowup_factor": 1e6,
+      "dt_max": 0.1, "blowup_factor": 1e6,
       "m_list": [1.0], "samples_per_decade": 20,
       "weighted": {"enabled": false, "mu": null},
       "seed": 0, "memory_cap_bytes": 2000000000
     }
 
-Validation collects *all* violations before failing, fills defaults, and
-enforces the domain-sizing rule L >= R0 + (Lambda(T) - lambda0) + 2 so the
-periodic box never lets the light cone wrap around.  The canonical
+Validation collects *all* violations before failing (a key not listed
+above is one), fills defaults, and enforces the domain-sizing rule
+L >= R0 + (Lambda(T) - lambda0) + 2 so the periodic box never lets the
+light cone wrap around.  The canonical
 serialized form (sorted keys, defaults filled) is hashed into the run id.
 """
 
@@ -36,18 +37,26 @@ from dataclasses import dataclass, field
 
 from . import profiles as _profiles
 from .errors import DomainError, ResourceCapError, ValidationError
-from .multipliers import DEFAULT_K
+from .multipliers import _check_orders
 from .solver import Grid, NonlinearitySpec, WeightedNormSpec
 
 DEFAULTS = {
-    "K": DEFAULT_K,
     "dt_max": 0.1,
     "blowup_factor": 1.0e6,
     "m_list": [1.0],
     "samples_per_decade": 20,
     "seed": 0,
     "memory_cap_bytes": 2_000_000_000,
-    "fit_window": 0.5,
+}
+
+# the keys a run config may hold, at top level ("") and in each section
+_KEYS = {
+    "": (*DEFAULTS, "profile", "mu", "nu", "grid", "nonlinearity", "data", "T", "weighted"),
+    "profile": ("kind", "q", "r", "lambda0", "table_t", "table_lambda", "mu", "nu"),
+    "grid": ("n", "N", "L"),
+    "nonlinearity": ("form", "p", "gamma", "scaling"),
+    "data": ("kind", "amplitude", "width", "seed"),
+    "weighted": ("enabled", "mu"),
 }
 
 # effective support radius of the data kinds, in units of the width
@@ -70,14 +79,12 @@ class RunConfig:
     nonlin: NonlinearitySpec
     data: InitialDataSpec
     T: float
-    K: float
     dt_max: float
     blowup_factor: float
     m_list: tuple
     samples_per_decade: int
     weighted: WeightedNormSpec
     seed: int
-    fit_window: float
     r0: float
     run_id: str
     canonical: dict = field(repr=False)
@@ -193,6 +200,11 @@ def validate_config(raw):
         raise ValidationError(["config must be a JSON object"])
     violations = []
     notes = []
+    for section, known in _KEYS.items():
+        obj = raw.get(section) if section else raw
+        if isinstance(obj, dict):
+            violations += [f"{section}{'.' if section else ''}{key} is not a config key"
+                           for key in obj if key not in known]
 
     for key in ("profile", "T"):
         if key not in raw:
@@ -220,6 +232,7 @@ def validate_config(raw):
             if value is not None:
                 damping = (_profiles.DampingSpec.from_mu(value) if key == "mu"
                            else _profiles.DampingSpec.from_nu(value, profile))
+                _check_orders(damping.mu)
         except DomainError as exc:
             violations.append(str(exc))
 
@@ -285,7 +298,6 @@ def validate_config(raw):
             else _number(w_raw, "mu", None, float, violations, "weighted."))
     weighted = WeightedNormSpec(enabled=enabled is True, mu=w_mu)
 
-    K = _number(raw, "K", DEFAULTS["K"], float, violations)
     dt_max = _number(raw, "dt_max", DEFAULTS["dt_max"], float, violations)
     blowup_factor = _number(raw, "blowup_factor", DEFAULTS["blowup_factor"], float,
                             violations)
@@ -293,19 +305,16 @@ def validate_config(raw):
     samples_per_decade = _number(raw, "samples_per_decade",
                                  DEFAULTS["samples_per_decade"], int, violations)
     seed = _number(raw, "seed", DEFAULTS["seed"], int, violations)
-    fit_window = _number(raw, "fit_window", DEFAULTS["fit_window"], float, violations)
 
     for name, ok, need in (
             ("data.width", 0.0 < data.width < math.inf, "a positive finite number"),
             ("dt_max", 0.0 < dt_max < math.inf, "a positive finite number"),
-            ("K", 0.0 < K < 1.0, "in (0, 1)"),
             ("blowup_factor", 1.0 < blowup_factor < math.inf, "a finite number above 1"),
             ("m_list", all(0.0 < m < math.inf for m in m_list), "positive finite numbers"),
             ("data.amplitude", math.isfinite(data.amplitude), "finite"),
             ("grid.L", L is None or math.isfinite(L), "finite"),
             ("nonlinearity.gamma", math.isfinite(nl_gamma), "finite"),
-            ("weighted.mu", w_mu is None or math.isfinite(w_mu), "finite"),
-            ("fit_window", math.isfinite(fit_window), "finite")):
+            ("weighted.mu", w_mu is None or math.isfinite(w_mu), "finite")):
         if not ok:
             violations.append(f"{name} must be {need}")
 
@@ -342,23 +351,20 @@ def validate_config(raw):
         "data": {"kind": data.kind, "amplitude": data.amplitude,
                  "width": data.width, "seed": data.seed},
         "T": float(T),
-        "K": K,
         "dt_max": dt_max,
         "blowup_factor": blowup_factor,
         "m_list": m_list,
         "samples_per_decade": samples_per_decade,
         "weighted": {"enabled": weighted.enabled, "mu": weighted.mu},
         "seed": seed,
-        "fit_window": fit_window,
     }
 
     return RunConfig(
         profile=profile, damping=damping, grid=grid, nonlin=nonlin, data=data,
-        T=float(T), K=K, dt_max=canonical["dt_max"],
+        T=float(T), dt_max=canonical["dt_max"],
         blowup_factor=canonical["blowup_factor"],
         m_list=tuple(canonical["m_list"]),
         samples_per_decade=canonical["samples_per_decade"],
-        weighted=weighted, seed=canonical["seed"],
-        fit_window=canonical["fit_window"], r0=r0,
+        weighted=weighted, seed=canonical["seed"], r0=r0,
         run_id=config_hash(canonical), canonical=canonical,
         warnings=tuple(notes))

@@ -8,11 +8,11 @@ norms into one-dimensional radial integrals
     energy^2       = ... Int (lambda^2 xi^2 |vhat|^2 + |vthat|^2) xi^{n-1} dxi.
 
 No spatial grid appears, so late times (t ~ 1e4) cost only a denser
-quadrature: the integrand oscillates on the scale 2 pi / Lambda(t) in xi,
-and the composite Simpson rule below resolves it with a fixed number of
-points per period plus a logarithmic grid across the low-frequency zones.
-Every norm is computed at two resolutions; disagreement beyond the
-tolerance raises QuadratureError.
+quadrature: the integrand oscillates on the scale 2 pi / Lambda(t) in xi.
+Each output time has one node set, a log zone and then a uniform zone,
+with a fine composite Simpson rule on every node and a coarse one on the
+even-indexed nodes; a disagreement beyond the tolerance raises
+QuadratureError.
 """
 
 from __future__ import annotations
@@ -42,71 +42,50 @@ class RadialNorms:
     t: float
 
 
-def _odd(n):
-    return n if n % 2 == 1 else n + 1
+def _simpson_rows(count):
+    """(fine, coarse) Simpson weights, shape (2, m), for m uniform points on [0, 1].
+
+    m is ``count`` rounded up to 1 mod 4, so the even-indexed points, which
+    the coarse row uses, form a Simpson grid too.
+    """
+    m = count + (1 - count) % 4
+    rows = np.zeros((2, m))
+    for row, step in zip(rows, (1, 2)):
+        nodes = row[::step]  # a view: 1, 4, 2, ..., 4, 1 times the step
+        nodes[:] = 2.0 * step
+        nodes[1::2] = 4.0 * step
+        nodes[[0, -1]] = step
+    return rows / (3.0 * (m - 1))
 
 
-def _simpson(y, dx):
-    """Composite Simpson on a uniform grid with an odd number of points."""
-    return (dx / 3.0) * float(y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2])
-                              + 2.0 * np.sum(y[2:-2:2]))
-
-
-def _grids(profile, t, xi_max, pts_per_period, log_pts_per_decade):
-    """(log-zone grid, linear grid); either may be None.
+def _rule(Lam, n, xi_max, pts_per_period, log_pts_per_decade):
+    """Strictly increasing nodes and their (fine, coarse) weights, shape (2, m).
 
     The log zone resolves the K/Lambda(t) structure at low frequency; it is
     capped at xi = 1 because spectra like Gaussians are steep on a log scale
-    beyond that, where the uniform grid is the better tool.
+    beyond that, where the uniform zone is the better tool.
     """
-    Lam = float(profile.Lambda_at(t))
     xi_split = min(30.0 / Lam, 1.0, xi_max)  # tau < 30 and xi <= 1 below
     xi_lo = max(xi_max * 1e-12, (DEFAULT_K / Lam) * 1e-4, 1e-12)
-    log_grid = None
-    lin_grid = None
+    xi, w = np.empty(0), np.empty((2, 0))
     if xi_split > xi_lo:
-        n_log = _odd(max(65, int(log_pts_per_decade * math.log10(xi_split / xi_lo)) + 1))
-        log_grid = np.geomspace(xi_lo, xi_split, n_log)
+        w = _simpson_rows(max(65, int(2 * log_pts_per_decade
+                                      * math.log10(xi_split / xi_lo)) + 1))
+        xi = np.geomspace(xi_lo, xi_split, w.shape[1])
+        # int f dxi = int f xi dln(xi); the integrand tends to a constant
+        # below xi_lo, so [0, xi_lo] adds f(xi_lo) xi_lo / n
+        w *= math.log(xi_split / xi_lo) * xi
+        w[:, 0] += xi_lo / n
     if xi_max > xi_split * (1.0 + 1e-12):
-        dxi = 2.0 * math.pi / (Lam * pts_per_period)
-        n_lin = _odd(max(513, int(math.ceil((xi_max - xi_split) / dxi)) + 1))
-        lin_grid = np.linspace(xi_split, xi_max, n_lin)
-    return log_grid, lin_grid
-
-
-def _norms_once(mu, profile, v0_hat, v1_hat, t, n, s, xi_max,
-                pts_per_period, log_pts_per_decade):
-    log_grid, lin_grid = _grids(profile, t, xi_max, pts_per_period,
-                                log_pts_per_decade)
-    lam = float(profile.lambda_at(t))
-    l2_sq = 0.0
-    en_sq = 0.0
-    for xi, logspace in ((log_grid, True), (lin_grid, False)):
-        if xi is None:
-            continue
-        p0, p1, d0, d1 = phi_values_grid(mu, profile, s, t, xi)
-        a0 = v0_hat(xi)
-        a1 = v1_hat(xi)
-        vh = p0 * a0 + p1 * a1
-        vth = d0 * a0 + d1 * a1
-        meas = xi ** (n - 1)
-        f_l2 = np.abs(vh) ** 2 * meas
-        f_en = (lam**2 * xi**2 * np.abs(vh) ** 2 + np.abs(vth) ** 2) * meas
-        if logspace:
-            # int f dxi = int f * xi dln(xi), uniform in ln(xi)
-            dlx = math.log(xi[-1] / xi[0]) / (len(xi) - 1)
-            l2_sq += _simpson(f_l2 * xi, dlx)
-            en_sq += _simpson(f_en * xi, dlx)
-            # [0, xi_lo] remainder: the integrand tends to a constant, so
-            # close the integral with f(xi_lo) * xi_lo^n / n
-            l2_sq += f_l2[0] / meas[0] * xi[0] ** n / n
-            en_sq += f_en[0] / meas[0] * xi[0] ** n / n
-        else:
-            dxi = (xi[-1] - xi[0]) / (len(xi) - 1)
-            l2_sq += _simpson(f_l2, dxi)
-            en_sq += _simpson(f_en, dxi)
-    const = SPHERE_AREA[n] / (2.0 * math.pi) ** n
-    return math.sqrt(max(const * l2_sq, 0.0)), math.sqrt(max(const * en_sq, 0.0))
+        dxi = math.pi / (Lam * pts_per_period)
+        w_lin = _simpson_rows(max(513, int(math.ceil((xi_max - xi_split) / dxi)) + 1))
+        lin = np.linspace(xi_split, xi_max, w_lin.shape[1])
+        w_lin *= xi_max - xi_split
+        if xi.size:  # the junction xi_split is the log zone's last node
+            w[:, -1] += w_lin[:, 0]
+            lin, w_lin = lin[1:], w_lin[:, 1:]
+        xi, w = np.concatenate([xi, lin]), np.concatenate([w, w_lin], axis=1)
+    return xi, w
 
 
 def linear_norm_radial(mu, profile, v0_hat, v1_hat, t, n=1, s=0.0,
@@ -114,26 +93,35 @@ def linear_norm_radial(mu, profile, v0_hat, v1_hat, t, n=1, s=0.0,
                        log_pts_per_decade=120):
     """L2 norm and energy of the linear solution at time t by radial quadrature.
 
-    ``v0_hat``/``v1_hat`` are callables returning the radial spectral
-    amplitudes.  ``xi_max`` defaults to where a Gaussian-type profile has
-    decayed to ~1e-15 of its peak, probed numerically.
+    ``v0_hat``/``v1_hat`` are callables returning the (possibly complex)
+    radial spectral amplitudes.  ``xi_max`` defaults to where a Gaussian-type
+    profile has decayed to ~1e-15 of its peak, probed numerically.
+    ``pts_per_period`` (per period 2 pi / Lambda(t)) and ``log_pts_per_decade``
+    set the coarse rule; the fine rule, whose value is returned, has twice
+    that density on the same nodes.
     """
     if xi_max is None:
         probe = np.geomspace(1e-3, 1e3, 400)
         mags = np.abs(v0_hat(probe)) + np.abs(v1_hat(probe))
-        peak = float(np.max(mags))
-        alive = probe[mags > 1e-15 * max(peak, 1e-300)]
-        if len(alive) == 0:
-            return RadialNorms(l2=0.0, energy=0.0, t=t)
-        xi_max = float(alive[-1]) * 1.5
-
-    coarse = _norms_once(mu, profile, v0_hat, v1_hat, t, n, s, xi_max,
-                         pts_per_period, log_pts_per_decade)
-    fine = _norms_once(mu, profile, v0_hat, v1_hat, t, n, s, xi_max,
-                       2 * pts_per_period, 2 * log_pts_per_decade)
+        alive = probe[mags > 1e-15 * max(float(np.max(mags)), 1e-300)]
+        xi_max = float(alive[-1]) * 1.5 if alive.size else 0.0
+    xi, weights = _rule(float(profile.Lambda_at(t)), n, xi_max, pts_per_period,
+                        log_pts_per_decade)
+    if xi.size == 0:
+        return RadialNorms(l2=0.0, energy=0.0, t=t)
+    lam = float(profile.lambda_at(t))
+    p0, p1, d0, d1 = phi_values_grid(mu, profile, s, t, xi)
+    a0, a1 = v0_hat(xi), v1_hat(xi)
+    vh2 = np.abs(p0 * a0 + p1 * a1) ** 2
+    vth2 = np.abs(d0 * a0 + d1 * a1) ** 2
+    meas = xi ** (n - 1)
+    # rows (fine, coarse), columns (L2, energy)
+    sq = weights @ np.stack([vh2 * meas, (lam**2 * xi**2 * vh2 + vth2) * meas], axis=1)
+    const = SPHERE_AREA[n] / (2.0 * math.pi) ** n
+    fine, coarse = np.sqrt(np.maximum(const * sq, 0.0)).tolist()
     # Simpson's error drops ~16x per refinement, so the coarse-fine gap may
     # legitimately reach ~16x the fine error; certify fine to ~2*rtol.
-    for name, c, f in (("L2", coarse[0], fine[0]), ("energy", coarse[1], fine[1])):
+    for name, c, f in zip(("L2", "energy"), coarse, fine):
         scale = max(abs(f), 1e-300)
         if abs(c - f) / scale > max(rtol, 1e-14) * 30.0:
             raise QuadratureError(

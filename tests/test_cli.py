@@ -83,6 +83,9 @@ def test_simulate_negative_width_exit_code(tmp_path, capsys):
     ({"weighted": {"enabled": "yes"}}, "weighted.enabled"),
     ({"mu": float("nan")}, "mu"),
     ({"nonlinearity": {"form": "zero", "gamma": float("inf")}}, "nonlinearity.gamma"),
+    ({"blowup_facter": 1e6}, "blowup_facter is not a config key"),
+    ({"grid": {"n": 1, "N": 256, "l": 20.0}}, "grid.l is not a config key"),
+    ({"mu": 30.0}, "mu=30 needs Hankel orders -14.5, -15.5 beyond +-10"),
 ])
 def test_simulate_non_numeric_value_exit_code(tmp_path, capsys, overrides, name):
     cfg = run_config(tmp_path, **overrides)
@@ -99,6 +102,18 @@ def test_dt_max_must_be_positive_and_finite(dt_max):
     with pytest.raises(ValidationError, match="dt_max"):
         validate_config({"profile": {"kind": "constant"}, "mu": 2.0, "T": 1.0,
                          "grid": {"n": 1, "N": 64}, "dt_max": dt_max})
+
+
+@pytest.mark.parametrize("damping", [{"mu": 30.0}, {"mu": -19.5},
+                                     {"nu": 25.0}])
+def test_mu_beyond_max_order_is_validation_error(damping):
+    # rejected at validation, not later by the propagator
+    from dampwave.config import validate_config
+    from dampwave.errors import ValidationError
+
+    with pytest.raises(ValidationError, match="Hankel orders"):
+        validate_config({"profile": {"kind": "constant"}, "T": 1.0,
+                         "grid": {"n": 1, "N": 64}, **damping})
 
 
 def test_config_roundtrip_and_nested_damping(tmp_path):
@@ -232,6 +247,8 @@ def test_invalid_json_config_exit_code(tmp_path, capsys, command):
      "classify.min_slope"),
     ([1, 2], "scan config must be a JSON object"),
     ({"base": {}, "axes": {"eps": [0.1]}, "workers": 0}, "workers must be at least 1"),
+    ({"base": {"mu": 30.0}, "axes": {"eps": [0.1]}}, "base.mu: mu=30 needs Hankel orders"),
+    ({"base": {"mu": 4.0}, "axes": {"mu": [2.0, 30.0]}}, "axes.mu: mu=30 needs Hankel orders"),
 ])
 def test_scan_malformed_config_exit_code(tmp_path, capsys, cfg, name):
     path = write_json(tmp_path / "scan.json", cfg)

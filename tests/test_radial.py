@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dampwave import profiles, radial
+from dampwave.errors import QuadratureError
 
 CONST = profiles.constant_profile()
 
@@ -48,6 +49,31 @@ def test_mu2_solution_norm_closed_form():
 def test_zero_spectra():
     r = radial.linear_norm_radial(2.0, CONST, zero_spec, zero_spec, 3.0)
     assert r.l2 == 0.0 and r.energy == 0.0
+    # a range below the smallest node leaves an empty rule
+    g = radial.gaussian_spectrum(1.0, 1.0)
+    r = radial.linear_norm_radial(2.0, CONST, g, g, 3.0, xi_max=1e-13)
+    assert r.l2 == 0.0 and r.energy == 0.0
+
+
+def test_too_coarse_rule_raises():
+    g = radial.gaussian_spectrum(1.0, 1.0)
+    with pytest.raises(QuadratureError, match="did not converge at t=1000"):
+        radial.linear_norm_radial(4.0, CONST, g, radial.gaussian_spectrum(0.7, 1.2),
+                                  1.0e3, pts_per_period=2)
+
+
+@pytest.mark.parametrize("Lam, xi_max", [(5.0, 8.0), (1.0e3, 8.0), (1.0, 0.5), (1.0e-3, 8.0)])
+def test_rule_nodes_and_nested_weights(Lam, xi_max):
+    xi, (fine, coarse) = radial._rule(Lam, 1, xi_max, 12, 60)
+    # one strictly increasing node set; the coarse rule lives on its even nodes
+    assert np.all(np.diff(xi) > 0.0) and xi[-1] == xi_max
+    assert np.all(coarse[1::2] == 0.0) and np.all(coarse[::2] > 0.0)
+    # both rules integrate 1 over [0, xi_max], Jacobian and [0, xi_lo]
+    # included; only the log zone errs, and the coarse rule's twice longer
+    # step makes its Simpson error 16 times the fine one
+    fine_err, coarse_err = fine.sum() / xi_max - 1.0, coarse.sum() / xi_max - 1.0
+    assert abs(fine_err) < 1e-9
+    assert coarse_err == pytest.approx(16.0 * fine_err, rel=0.1)
 
 
 def test_series_builder_tracks_and_metadata():

@@ -345,9 +345,11 @@ def test_radial_norm_evaluates_every_node(bessel_points, monkeypatch):
     from dampwave import radial
 
     nodes = [0]
+    calls = [0]
     phi_values_grid = radial.phi_values_grid
 
     def counted(mu, profile, s, t, xi):
+        calls[0] += 1
         nodes[0] += np.size(xi)
         return phi_values_grid(mu, profile, s, t, xi)
 
@@ -355,8 +357,10 @@ def test_radial_norm_evaluates_every_node(bessel_points, monkeypatch):
     radial.linear_norm_radial(4.0, CONST, radial.gaussian_spectrum(1.0, 1.0),
                               radial.gaussian_spectrum(0.7, 1.2), 10.0, rtol=1e-5,
                               pts_per_period=12, log_pts_per_decade=60)
+    # one multiplier evaluation per output time serves both resolutions;
     # quadrature nodes are distinct: deduplication drops none of them; one
     # call per node at sigma and one at tau, each returning both orders
+    assert calls[0] == 1
     assert nodes[0] > 0 and bessel_points[0] == 2 * nodes[0]
 
 
