@@ -3,7 +3,7 @@
 Integrates a batch of independent ODE systems sharing one scalar variable
 ``x``; the step size is controlled by the worst per-component error, so
 easy batch members ride along with the hardest one.  State is a complex or
-real ndarray of shape ``(m, B)``.
+real ndarray of any shape.
 """
 
 from __future__ import annotations

@@ -542,7 +542,7 @@ _CLASSIFY_KEYS = ("threshold_m", "window_fraction", "min_slope", "max_residual",
 
 def _scan_params(scan_config):
     """Validated (axes, base, classify, workers, gamma0, n0) of a scan config."""
-    from .config import _is_number, _number, _number_list, _section
+    from .config import _is_number, _number, _number_list, _section, _unknown_keys
     from .errors import UnsupportedOrderError, ValidationError
     from .multipliers import _check_orders
 
@@ -551,6 +551,7 @@ def _scan_params(scan_config):
     violations = [f"missing required key {key!r}" for key in ("base", "axes")
                   if key not in scan_config]
     base = _section(scan_config, "base", violations)
+    violations += _unknown_keys(base, "base.")
     axes_raw = _section(scan_config, "axes", violations)
     if "axes" in scan_config and not axes_raw:
         violations.append("scan needs at least one axis")

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, multipliers, radial, specfun
+from . import analysis, multipliers, specfun
 from .analysis import _fmt
 from .config import (_build_profile, _number, _number_list, _section, parse_json,
                      validate_config)

@@ -187,6 +187,17 @@ def parse_json(text):
         raise ValidationError([f"config is not valid JSON: {exc}"]) from None
 
 
+def _unknown_keys(raw, prefix=""):
+    """One violation per key of the run config ``raw`` that the format does not name."""
+    violations = []
+    for section, known in _KEYS.items():
+        obj = raw.get(section) if section else raw
+        if isinstance(obj, dict):
+            violations += [f"{prefix}{section}{'.' if section else ''}{key} is not a config key"
+                           for key in obj if key not in known]
+    return violations
+
+
 def validate_config(raw):
     """Parse and validate a raw config (dict or JSON string) into a RunConfig.
 
@@ -198,13 +209,8 @@ def validate_config(raw):
         raw = parse_json(raw)
     if not isinstance(raw, dict):
         raise ValidationError(["config must be a JSON object"])
-    violations = []
+    violations = _unknown_keys(raw)
     notes = []
-    for section, known in _KEYS.items():
-        obj = raw.get(section) if section else raw
-        if isinstance(obj, dict):
-            violations += [f"{section}{'.' if section else ''}{key} is not a config key"
-                           for key in obj if key not in known]
 
     for key in ("profile", "T"):
         if key not in raw:

@@ -48,6 +48,9 @@ TAU_MAX = 1.0e7
 
 DEFAULT_K = 0.5
 
+# absolute error tolerance of the ODE oracle's adaptive step control
+_ORACLE_ATOL = 1e-12
+
 # surface area of the unit sphere S^{n-1} in R^n
 SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
@@ -240,22 +243,27 @@ def phi_values(mu, profile, s, t, xi):
                             dphi0=complex(d0[0]), dphi1=complex(d1[0]))
 
 
-def mode_ode_oracle_batch(mu, sigma, tau, lam_s_xi, lam_t_xi, w0, w1,
-                          rtol=1e-10, atol=1e-12):
-    """Integrate a batch of mode ODEs; all arguments are same-length arrays.
+def oracle_matrix_batch(mu, sigma, tau, lam_s_xi, lam_t_xi, rtol=1e-10):
+    """Propagator entries (phi0, phi1, dphi0, dphi1) of a batch via the ODE oracle.
 
-    The integration runs in the stretched variable tau = Lambda(t)|xi|, an
-    exact change of variables of the time-domain mode equation under the
-    structural damping; returns (v, v') at the final time.  Members are
-    mapped onto a unit interval, so one shared adaptive step (driven by the
-    hardest member) advances the whole batch.
+    Integrates the mode equation ``w'' + (mu/tau) w' + w = 0`` in the
+    stretched variable tau = Lambda(t)|xi|, an exact change of variables of
+    the time-domain mode equation, from sigma to tau.  The state is the
+    real 2x2 fundamental matrix of every member, whose columns start at the
+    unit data (1, 0) and (0, 1), so one integration gives all four entries.
+    Members are mapped onto a unit interval and one shared adaptive step
+    (driven by the hardest member) advances the whole batch; a member with
+    tau == sigma gets (1, 0, 0, lam_t_xi/lam_s_xi), the identity when t == s.
+    The relative tolerance is ``rtol``.  ``mu`` is a scalar or an array of the
+    batch's length; all other arguments are arrays of that length.
+    Independent of the special functions.
     """
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    y0 = np.stack([np.asarray(w0, dtype=complex),
-                   np.asarray(w1, dtype=complex) / lam_s_xi])
-    per_span = tau - sigma
+    per_span = np.asarray(tau, dtype=float) - sigma
+    y0 = np.zeros((2, 2, per_span.size))
+    y0[0, 0] = 1.0
+    y0[1, 1] = 1.0 / np.asarray(lam_s_xi, dtype=float)
 
     def rhs(x, y):
         tau_x = sigma + x * per_span
@@ -266,31 +274,20 @@ def mode_ode_oracle_batch(mu, sigma, tau, lam_s_xi, lam_t_xi, w0, w1,
     if per_span.size == 0 or float(np.max(per_span)) == 0.0:
         yf = y0
     else:
-        yf = _ode.integrate_batch(rhs, 0.0, 1.0, y0, rtol=rtol, atol=atol)
-    return yf[0], yf[1] * lam_t_xi
+        yf = _ode.integrate_batch(rhs, 0.0, 1.0, y0, rtol=rtol, atol=_ORACLE_ATOL)
+    (phi0, phi1), (dphi0, dphi1) = yf[0], yf[1] * np.asarray(lam_t_xi, dtype=float)
+    return phi0, phi1, dphi0, dphi1
 
 
-def oracle_matrix_batch(mu, sigma, tau, lam_s_xi, lam_t_xi, rtol=1e-10):
-    """Propagator entries (phi0, phi1, dphi0, dphi1) of a batch via the ODE oracle.
-
-    Integrates the data (1, 0) and (0, 1) with mode_ode_oracle_batch; ``mu``
-    is a scalar or an array of the batch's length.
-    """
-    ones = np.ones(len(sigma), dtype=complex)
-    zeros = np.zeros(len(sigma), dtype=complex)
-    v_a, vp_a = mode_ode_oracle_batch(mu, sigma, tau, lam_s_xi, lam_t_xi,
-                                      ones, zeros, rtol=rtol)
-    v_b, vp_b = mode_ode_oracle_batch(mu, sigma, tau, lam_s_xi, lam_t_xi,
-                                      zeros, ones, rtol=rtol)
-    return v_a.real, v_b.real, vp_a.real, vp_b.real
-
-
-def mode_ode_oracle(mu, profile, s, t, xi, w0, w1, rtol=1e-10, atol=1e-12):
+def mode_ode_oracle(mu, profile, s, t, xi, w0, w1, rtol=1e-10):
     """Integrate one spatial mode of the linear problem from s to t.
 
     Solves v'' + lambda(t)^2 xi^2 v + b(t) v' = 0 with (v, v')(s) = (w0, w1)
-    by adaptive embedded Runge-Kutta (local tolerance ``rtol``); returns
-    (v, v')(t).  Independent of the Hankel-function route.
+    and returns (v, v')(t).  xi == 0 uses the closed-form zero mode;
+    otherwise the entries come from a one-member oracle_matrix_batch
+    (adaptive Runge-Kutta, relative tolerance ``rtol``), and
+    the data (which may be complex) are combined with them by linearity.
+    Independent of the Hankel-function route.
     """
     if t < s:
         raise DomainError("need t >= s")
@@ -307,11 +304,9 @@ def mode_ode_oracle(mu, profile, s, t, xi, w0, w1, rtol=1e-10, atol=1e-12):
     if xi == 0.0:
         _, phi1, _, dphi1 = _zero_mode_values(mu, lam_s, lam_t, Lam_s, Lam_t)
         return w0 + w1 * phi1, w1 * dphi1
-    v, vp = mode_ode_oracle_batch(
-        np.array([mu]), np.array([Lam_s * xi]), np.array([Lam_t * xi]),
-        np.array([lam_s * xi]), np.array([lam_t * xi]),
-        np.array([w0]), np.array([w1]), rtol=rtol, atol=atol)
-    return complex(v[0]), complex(vp[0])
+    phi0, phi1, dphi0, dphi1 = (float(e[0]) for e in oracle_matrix_batch(
+        mu, [Lam_s * xi], [Lam_t * xi], [lam_s * xi], [lam_t * xi], rtol=rtol))
+    return phi0 * w0 + phi1 * w1, dphi0 * w0 + dphi1 * w1
 
 
 class Zone(enum.Enum):

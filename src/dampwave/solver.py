@@ -240,10 +240,8 @@ class NormSample:
     l2: float
     linf: float
     h1_semi: float
-    h1: float
     energy: float
     weighted_l2: float | None = None
-    weighted_h1: float | None = None
     weighted_saturated: bool = False
 
 
@@ -274,7 +272,6 @@ def norms(state, profile, mu, grid, m_list=(1.0,), weighted=None):
         "l2": l2,
         "linf": linf,
         "h1_semi": h1_semi,
-        "h1": math.sqrt(l2**2 + grad_sq),
         "energy": math.sqrt(lam * lam * grad_sq + ut_sq),
     }
     if weighted is not None and weighted.enabled:
@@ -287,9 +284,6 @@ def norms(state, profile, mu, grid, m_list=(1.0,), weighted=None):
             omega = np.exp(psi)
             integrand = (u * omega) ** 2
             wl2_sq = np.sum(integrand) * vol
-            wgrad_sq = 0.0
-            for k in grid.wavenumbers:
-                wgrad_sq += np.sum((grid.ifft(1j * k * uh) * omega) ** 2) * vol
         # flag values that are box-truncation artifacts: either the weight
         # overflows at the corner, or the weighted integrand has not decayed
         # by the edge of the box (divergent on R^n, finite on the box)
@@ -299,7 +293,6 @@ def norms(state, profile, mu, grid, m_list=(1.0,), weighted=None):
             saturated = saturated or bool(
                 float(np.max(integrand[edge])) > 1e-10 * peak)
         sample["weighted_l2"] = float(np.sqrt(wl2_sq))
-        sample["weighted_h1"] = float(np.sqrt(wl2_sq + wgrad_sq))
         sample["weighted_saturated"] = bool(saturated)
     return NormSample(**sample)
 

@@ -63,12 +63,8 @@ def test_ac1_multiplier_exactness():
     tau = np.array([tu[1].Lambda_at(tu[3]) * tu[4] for tu in tuples])
     ls_xi = np.array([tu[1].lambda_at(tu[2]) * tu[4] for tu in tuples])
     lt_xi = np.array([tu[1].lambda_at(tu[3]) * tu[4] for tu in tuples])
-    ones = np.ones(count, dtype=complex)
-    zeros = np.zeros(count, dtype=complex)
-    o_p0, o_d0 = multipliers.mode_ode_oracle_batch(
-        mu_arr, sigma, tau, ls_xi, lt_xi, ones, zeros, rtol=1e-12)
-    o_p1, o_d1 = multipliers.mode_ode_oracle_batch(
-        mu_arr, sigma, tau, ls_xi, lt_xi, zeros, ones, rtol=1e-12)
+    o_p0, o_p1, o_d0, o_d1 = multipliers.oracle_matrix_batch(
+        mu_arr, sigma, tau, ls_xi, lt_xi, rtol=1e-12)
 
     worst = 0.0
     failures = 0
@@ -76,8 +72,8 @@ def test_ac1_multiplier_exactness():
         got = multipliers.phi_values(mu, prof, s, t, xi)
         for g, o in ((got.phi0, o_p0[i]), (got.phi1, o_p1[i]),
                      (got.dphi0, o_d0[i]), (got.dphi1, o_d1[i])):
-            err = abs(g.real - o.real)
-            bound = 1e-9 + 1e-6 * abs(o.real)
+            err = abs(g.real - o)
+            bound = 1e-9 + 1e-6 * abs(o)
             worst = max(worst, err / bound)
             if err > bound:
                 failures += 1
@@ -498,16 +494,12 @@ def _prop_oracle_agreement_small(rng, n_cases):
     tau = np.array([tu[1].Lambda_at(tu[3]) * tu[4] for tu in tuples])
     ls_xi = np.array([tu[1].lambda_at(tu[2]) * tu[4] for tu in tuples])
     lt_xi = np.array([tu[1].lambda_at(tu[3]) * tu[4] for tu in tuples])
-    ones = np.ones(len(tuples), dtype=complex)
-    zeros = np.zeros(len(tuples), dtype=complex)
-    o_p0, _ = multipliers.mode_ode_oracle_batch(mu_arr, sigma, tau, ls_xi, lt_xi,
-                                                ones, zeros, rtol=1e-12)
-    o_p1, _ = multipliers.mode_ode_oracle_batch(mu_arr, sigma, tau, ls_xi, lt_xi,
-                                                zeros, ones, rtol=1e-12)
+    oracle = multipliers.oracle_matrix_batch(mu_arr, sigma, tau, ls_xi, lt_xi,
+                                             rtol=1e-12)
     for i, (mu, prof, s, t, xi) in enumerate(tuples):
         got = multipliers.phi_values(mu, prof, s, t, xi)
-        assert abs(got.phi0.real - o_p0[i].real) <= 1e-9 + 1e-6 * abs(o_p0[i].real)
-        assert abs(got.phi1.real - o_p1[i].real) <= 1e-9 + 1e-6 * abs(o_p1[i].real)
+        for g, o in zip((got.phi0, got.phi1, got.dphi0, got.dphi1), oracle):
+            assert abs(g.real - o[i]) <= 1e-9 + 1e-6 * abs(o[i])
 
 
 def _prop_parseval(rng, n_cases):

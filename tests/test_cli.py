@@ -249,6 +249,9 @@ def test_invalid_json_config_exit_code(tmp_path, capsys, command):
     ({"base": {}, "axes": {"eps": [0.1]}, "workers": 0}, "workers must be at least 1"),
     ({"base": {"mu": 30.0}, "axes": {"eps": [0.1]}}, "base.mu: mu=30 needs Hankel orders"),
     ({"base": {"mu": 4.0}, "axes": {"mu": [2.0, 30.0]}}, "axes.mu: mu=30 needs Hankel orders"),
+    ({"base": {"K": 0.5}, "axes": {"eps": [0.1]}}, "base.K is not a config key"),
+    ({"base": {"grid": {"l": 10.0}}, "axes": {"eps": [0.1]}},
+     "base.grid.l is not a config key"),
 ])
 def test_scan_malformed_config_exit_code(tmp_path, capsys, cfg, name):
     path = write_json(tmp_path / "scan.json", cfg)

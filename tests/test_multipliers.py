@@ -55,6 +55,9 @@ def test_mode_oracle_examples():
     v, vp = mp.mode_ode_oracle(0.0, CONST, 0.0, math.pi, 1.0, 1.0, 0.0)
     assert v.real == pytest.approx(-1.0, abs=1e-9)
     assert vp.real == pytest.approx(0.0, abs=1e-9)
+    # complex data combine with the real entries by linearity
+    v, vp = mp.mode_ode_oracle(0.0, CONST, 0.0, math.pi, 1.0, 1j, 0.0)
+    assert v == pytest.approx(-1j, abs=1e-9)
     # free-wave reduction: mu=2, (0,1) -> sin(t xi)/(xi (1+t))
     v, vp = mp.mode_ode_oracle(2.0, CONST, 0.0, 5.0, 1.0, 0.0, 1.0)
     assert v.real == pytest.approx(math.sin(5.0) / 6.0, rel=1e-8)
@@ -65,10 +68,37 @@ def test_mode_oracle_examples():
 
 def test_oracle_batches_accept_empty_input():
     e = np.zeros(0)
-    v, vp = mp.mode_ode_oracle_batch(2.0, e, e, e, e, e, e)
-    assert v.shape == vp.shape == (0,)
     entries = mp.oracle_matrix_batch(2.0, e, e, e, e)
     assert [x.shape for x in entries] == [(0,)] * 4
+
+
+def test_oracle_batch_zero_span_members_keep_identity():
+    sigma = np.array([0.5, 2.0, 3.0, 7.0])
+    tau = np.array([0.5, 6.0, 3.0, 9.0])
+    ls_xi = np.array([0.4, 1.0, 1.5, 2.0])
+    lt_xi = np.array([0.8, 1.3, 2.5, 2.0])
+    phi0, phi1, dphi0, dphi1 = mp.oracle_matrix_batch(2.5, sigma, tau, ls_xi, lt_xi)
+    for i in (0, 2):
+        assert (phi0[i], phi1[i], dphi0[i]) == (1.0, 0.0, 0.0)
+        assert dphi1[i] == pytest.approx(lt_xi[i] / ls_xi[i], rel=1e-15)
+    # the nonzero spans moved: mu = 2.5 damps, so phi0 leaves 1
+    assert abs(phi0[1] - 1.0) > 1e-3 and abs(phi0[3] - 1.0) > 1e-3
+
+
+def test_oracle_batch_integrates_once(monkeypatch):
+    calls = []
+    integrate = mp._ode.integrate_batch
+
+    def counted(*args, **kwargs):
+        calls.append(args[3].shape)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(mp._ode, "integrate_batch", counted)
+    n = 5
+    sigma = np.linspace(0.5, 2.0, n)
+    mp.oracle_matrix_batch(np.linspace(1.5, 4.0, n), sigma, sigma + 3.0,
+                           np.full(n, 0.7), np.full(n, 0.9))
+    assert calls == [(2, 2, n)]
 
 
 def test_phi_matches_oracle_small_sample():
