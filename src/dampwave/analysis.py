@@ -107,6 +107,11 @@ class DecayFit:
     window: tuple
 
 
+# the limit on a fit's trailing window, as a share of the samples (also a
+# scan's classify.window_fraction)
+WINDOW_FRACTION = (lambda f: 0.0 < f <= 1.0, "in (0, 1]")
+
+
 def fit_decay(series, track, window_fraction=0.5,
               min_lambda_ratio=10.0, min_samples=10):
     """Least-squares decay fit of a track over the trailing window.
@@ -117,6 +122,9 @@ def fit_decay(series, track, window_fraction=0.5,
     """
     if track not in series.tracks:
         raise DomainError(f"no track named {track!r}")
+    if not WINDOW_FRACTION[0](window_fraction):
+        raise DomainError(f"window_fraction must be {WINDOW_FRACTION[1]}, "
+                          f"got {window_fraction!r}")
     vals = series.tracks[track]
     n_all = len(vals)
     start = max(0, n_all - max(min_samples, int(math.ceil(window_fraction * n_all))))
@@ -229,6 +237,8 @@ def exponent_catalog(n, gamma, m, mu):
         raise DomainError("n must be >= 1")
     if not 1.0 <= m < 2.0:
         raise DomainError("m must lie in [1, 2)")
+    if not (math.isfinite(mu) and math.isfinite(gamma)):
+        raise DomainError(f"mu and gamma must be finite, got mu={mu!r}, gamma={gamma!r}")
     entries = []
 
     p_cap = 1.0 + 2.0 / (n - 2.0) if n >= 3 else math.inf
@@ -381,6 +391,8 @@ def gn_verify(q, n, count=100, seed=0, grid_n=256, box=math.pi, width=0.5, cap=1
     """
     from . import solver
 
+    if count < 1:
+        raise DomainError(f"count must be >= 1, got {count!r}")
     theta = theta_gn(q, n)
     grid = solver.Grid(n=n, N=grid_n, L=box)
     ratios = []
@@ -472,7 +484,7 @@ class ScanResult:
             series.to_csv(os.path.join(outdir, name))
 
 
-def _classify_cell(series, final, classify_opts):
+def _classify_cell(series, final, classify):
     from .solver import BlowupRecord
 
     if isinstance(final, BlowupRecord):
@@ -484,17 +496,15 @@ def _classify_cell(series, final, classify_opts):
         return dict(outcome="global_decay", alpha=0.0, residual=0.0,
                     model="pure_power", reason="zero solution")
     try:
-        fit = fit_decay(series, "L2", classify_opts.get("window_fraction", 0.5))
+        fit = fit_decay(series, "L2", classify["window_fraction"])
     except (DegenerateFitError, FitWindowError) as exc:
         return dict(outcome="undecided", reason=f"fit failed: {exc}")
-    min_slope = classify_opts.get("min_slope", 0.05)
-    max_residual = classify_opts.get("max_residual", 0.25)
-    growth_tol = classify_opts.get("growth_tol", 1.1)
     lam = series.lambda_big
     last = lam >= lam[-1] / 10.0
     vals = track[last]
-    grew = np.nanmax(vals) > growth_tol * vals[0] if len(vals) > 1 else False
-    if fit.alpha >= min_slope and fit.residual <= max_residual and not grew:
+    grew = np.nanmax(vals) > classify["growth_tol"] * vals[0] if len(vals) > 1 else False
+    if (fit.alpha >= classify["min_slope"] and fit.residual <= classify["max_residual"]
+            and not grew):
         return dict(outcome="global_decay", alpha=fit.alpha,
                     residual=fit.residual, model=fit.model)
     reason = (f"slope {fit.alpha:.3g} / residual {fit.residual:.3g}"
@@ -509,11 +519,11 @@ def _run_cell(args):
     from .errors import ResourceCapError
     from .solver import simulate
 
-    idx, params, raw_config, classify_opts = args
+    idx, params, raw_config, classify = args
     try:
         cfg = validate_config(raw_config)
         series, final = simulate(cfg)
-        verdict = _classify_cell(series, final, classify_opts)
+        verdict = _classify_cell(series, final, classify)
         return idx, params, verdict, series
     except (MemoryError, ResourceCapError):
         return idx, params, dict(outcome="undecided", reason="resource"), None
@@ -536,82 +546,66 @@ def _apply_cell_params(raw, params):
     return cfg
 
 
-_CLASSIFY_KEYS = ("threshold_m", "window_fraction", "min_slope", "max_residual",
-                  "growth_tol")
-
-
 def _scan_params(scan_config):
-    """Validated (axes, base, classify, workers, gamma0, n0) of a scan config."""
-    from .config import _is_number, _number, _number_list, _section, _unknown_keys
+    """(read config, axes, workers) of a scan config in ``config.SCAN_FORMAT``."""
+    from .config import REQUIRED, SCAN_FORMAT, read
     from .errors import UnsupportedOrderError, ValidationError
     from .multipliers import _check_orders
 
     if not isinstance(scan_config, dict):
         raise ValidationError(["scan config must be a JSON object"])
-    violations = [f"missing required key {key!r}" for key in ("base", "axes")
-                  if key not in scan_config]
-    base = _section(scan_config, "base", violations)
-    violations += _unknown_keys(base, "base.")
-    axes_raw = _section(scan_config, "axes", violations)
-    if "axes" in scan_config and not axes_raw:
+    violations = []
+    cfg = read(scan_config, SCAN_FORMAT, violations)
+    # the axis names are checked here, not by the table, so that an unknown
+    # name is reported as a scan axis
+    named = cfg["axes"] or {}
+    if cfg["axes"] == {}:
         violations.append("scan needs at least one axis")
-    for name, values in axes_raw.items():
-        if name not in _SCAN_AXES:
-            violations.append(f"unknown scan axis {name!r}")
-        elif values == []:
-            violations.append(f"axes.{name} must not be empty")
-    axes = {name: _number_list(axes_raw, name, [], violations, "axes.")
-            for name in axes_raw if name in _SCAN_AXES}
-    classify = _section(scan_config, "classify", violations)
-    for key in (k for k in _CLASSIFY_KEYS if k in classify):
-        _number(classify, key, None, float, violations, "classify.")
-    env = os.environ.get("DAMPWAVE_THREADS")
-    if "workers" in scan_config or env is None:
-        workers_key = "workers"
-        workers = _number(scan_config, "workers", os.cpu_count() or 1, int, violations)
-    else:
-        workers_key = "DAMPWAVE_THREADS"
+    violations += [f"unknown scan axis {name!r}" for name in named if name not in _SCAN_AXES]
+    axis = (list, REQUIRED, (lambda v: len(v) > 0, "non-empty"))
+    axes = read(named, dict.fromkeys(named, axis), violations, "axes.")
+    workers = cfg["workers"]
+    if workers is None:
+        env = os.environ.get("DAMPWAVE_THREADS", str(os.cpu_count() or 1))
         try:
             workers = int(env)
         except ValueError:
-            violations.append(f"DAMPWAVE_THREADS must be an integer, got {env!r}")
-            workers = 1
-    if workers < 1:
-        violations.append(f"{workers_key} must be at least 1, got {workers}")
-    mus = [("base.mu", base.get("mu"))] + [("axes.mu", v) for v in axes.get("mu", [])]
+            workers = 0
+        if workers < 1:
+            violations.append(f"DAMPWAVE_THREADS must be an integer of at least 1, got {env!r}")
+    base_mu = (cfg["base"] or {}).get("mu")
+    mus = [("base.mu", base_mu)] + [("axes.mu", mu) for mu in axes.get("mu") or []]
     for where, mu in mus:
         try:
-            if _is_number(mu):
+            if mu is not None:
                 _check_orders(mu)
         except UnsupportedOrderError as exc:
             violations.append(f"{where}: {exc}")
-    _section(base, "data", violations)  # the eps axis writes into it
-    gamma0 = _number(_section(base, "nonlinearity", violations), "gamma", 0.0, float,
-                     violations, "base.nonlinearity.")
-    n0 = _number(_section(base, "grid", violations), "n", 1, int, violations, "base.grid.")
     if violations:
         raise ValidationError(violations)
-    return axes, base, classify, workers, gamma0, n0
+    return cfg, axes, workers
 
 
 def run_scan(scan_config):
     """Run a parameter scan and classify each cell.
 
-    ``scan_config`` keys: base (raw run config), axes (subset of p, eps,
-    mu, gamma -> value lists), classify (thresholds), workers.  Results
-    merge deterministically by cell index regardless of worker count.
-    The structure is validated (ValidationError) before any cell runs; a
-    cell whose run config fails is classified undecided.
+    ``scan_config`` keys (``config.SCAN_FORMAT``): base (a run config),
+    axes (subset of p, eps, mu, gamma -> value lists), classify
+    (thresholds), workers.  Results merge deterministically by cell index
+    regardless of worker count.  The config, its base included, is
+    validated (ValidationError) before any cell runs; a cell whose run
+    config fails is classified undecided.
     """
-    axes, base, classify_opts, workers, gamma0, n0 = _scan_params(scan_config)
-    crit_m = classify_opts.get("threshold_m", 1.0)
+    cfg, axes, workers = _scan_params(scan_config)
+    classify = cfg["classify"]
+    gamma0, n0 = cfg["base"]["nonlinearity"]["gamma"], cfg["base"]["grid"]["n"]
 
     axis_names = sorted(axes)
     jobs = []
     for idx in itertools.product(*(range(len(axes[a])) for a in axis_names)):
         params = {a: axes[a][i] for a, i in zip(axis_names, idx)}
-        raw = _apply_cell_params(base, params)
-        jobs.append((idx, params, raw, classify_opts))
+        raw = _apply_cell_params(scan_config["base"], params)
+        jobs.append((idx, params, raw, classify))
 
     workers = min(workers, len(jobs))
     outputs = None
@@ -632,7 +626,7 @@ def run_scan(scan_config):
     for idx in sorted(results):
         params, verdict = results[idx]
         gamma_c = params.get("gamma", gamma0)
-        p_crit = 1.0 + crit_m * (2.0 + gamma_c) / n0
+        p_crit = 1.0 + classify["threshold_m"] * (2.0 + gamma_c) / n0
         at_thr = "p" in params and abs(params["p"] - p_crit) <= 1e-12
         cells.append(CellResult(index=idx, params=params,
                                 at_threshold=at_thr, **verdict))
@@ -659,5 +653,6 @@ def run_scan(scan_config):
                 else:
                     streak = 0
     return ScanResult(axes=axes, cells=cells,
-                      metadata={"base": base, "classify": classify_opts},
+                      metadata={"base": scan_config["base"],
+                                "classify": scan_config.get("classify", {})},
                       monotonicity_flags=flags, series=series_by_index)

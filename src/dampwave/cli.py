@@ -21,8 +21,7 @@ import numpy as np
 
 from . import analysis, multipliers, specfun
 from .analysis import _fmt
-from .config import (_build_profile, _number, _number_list, _section, parse_json,
-                     validate_config)
+from .config import CHECK_FORMAT, build_profile, parse_json, read, validate_config
 from .errors import (DampwaveError, DegenerateFitError, DomainError,
                      FitWindowError, IntegrationFailureError, QuadratureError,
                      ResourceCapError, UnsupportedOrderError, ValidationError)
@@ -70,29 +69,18 @@ def _multiplier_check_params(cfg):
     if not isinstance(cfg, dict):
         raise ValidationError(["config must be a JSON object"])
     violations = []
-    profile = _build_profile(_section(cfg, "profile", violations) if "profile" in cfg
-                             else {"kind": "constant"}, violations)
-    num = {key: _number(cfg, key, default, cast, violations)
-           for key, default, cast in (
-               ("mu", 2.0, float), ("samples", 100, int), ("seed", 0, int),
-               ("s_max", 2.0, float), ("dt_max", 50.0, float),
-               ("tau_cap", 3000.0, float), ("K", multipliers.DEFAULT_K, float))}
-    xi_range = _number_list(cfg, "xi_range", [1e-3, 50.0], violations)
-    if len(xi_range) != 2 or not 0.0 < xi_range[0] < xi_range[1] < math.inf:
-        violations.append(f"xi_range must be [xi_lo, xi_hi] with 0 < xi_lo < xi_hi, "
-                          f"got {cfg['xi_range']!r}")
-    elif not all(math.isfinite(v) for v in num.values()):
+    num = read(cfg, CHECK_FORMAT, violations)
+    profile = build_profile(num.pop("profile"), violations)
+    num["xi_lo"], num["xi_hi"] = num.pop("xi_range")
+    if not all(math.isfinite(v) for v in num.values()):
         violations.append("every number must be finite")
-    elif num["samples"] < 1:
-        violations.append(f"samples must be >= 1, got {num['samples']!r}")
-    elif profile is not None:
+    elif not violations:
         # every draw has tau >= Lambda(0) xi_lo; a smaller cap would redraw forever
-        tau_min = float(profile.Lambda_at(0.0)) * xi_range[0]
+        tau_min = float(profile.Lambda_at(0.0)) * num["xi_lo"]
         if not num["tau_cap"] > tau_min:
             violations.append(f"tau_cap must exceed Lambda(0) * xi_lo = {tau_min:g}")
     if violations:
         raise ValidationError(violations)
-    num["xi_lo"], num["xi_hi"] = xi_range
     return profile, num
 
 

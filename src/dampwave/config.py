@@ -1,29 +1,25 @@
-"""Run-configuration parsing, validation and canonical hashing.
+"""Config formats: one table per format, one reader, run-config validation.
 
-A run config is a JSON object::
+Every JSON config format is a table naming each key with its type, default
+and limit; ``read`` applies a table and collects every violation (a key the
+table does not name is one).  A run config follows ``RUN_FORMAT``:
 
-    {
-      "profile": {"kind": "constant" | "polynomial" | "exponential" | "custom",
-                   "q": ..., "r": ..., "lambda0": ...,
-                   "table_t": [...], "table_lambda": [...]},
-      "mu": ... | "nu": ...,             # exactly one
-      "grid": {"n": 1, "N": 1024, "L": optional},
-      "nonlinearity": {"form": "zero" | "signed_power" | "absolute_power",
-                        "p": ..., "gamma": 0.0, "scaling": "plain"},
-      "data": {"kind": "gaussian" | "bump" | "mode_mix",
-                "amplitude": 1e-3, "width": 1.0, "seed": 0},
-      "T": ...,
-      "dt_max": 0.1, "blowup_factor": 1e6,
-      "m_list": [1.0], "samples_per_decade": 20,
-      "weighted": {"enabled": false, "mu": null},
-      "seed": 0, "memory_cap_bytes": 2000000000
-    }
+* ``profile`` (required): ``kind`` (constant | polynomial | exponential |
+  custom) and that family's numbers, checked by ``build_profile``;
+* the damping strength as exactly one of ``mu`` or its raw form ``nu``,
+  at top level or inside ``profile``;
+* the sections ``grid``, ``nonlinearity``, ``data`` and ``weighted``, the
+  final time ``T`` (required) and the top-level numbers, with the defaults
+  and limits the table gives; ``data.seed`` defaults to ``seed``, and an
+  absent or null ``grid.L`` to the domain-sizing rule
+  L >= R0 + (Lambda(T) - lambda0) + 2, which keeps the light cone from
+  wrapping around the periodic box (a smaller ``L`` is rejected).
 
-Validation collects *all* violations before failing (a key not listed
-above is one), fills defaults, and enforces the domain-sizing rule
-L >= R0 + (Lambda(T) - lambda0) + 2 so the periodic box never lets the
-light cone wrap around.  The canonical
-serialized form (sorted keys, defaults filled) is hashed into the run id.
+The canonical serialized form (sorted keys, defaults filled, ``mu`` in
+place of ``nu``, without ``memory_cap_bytes``) is hashed into the run id.
+The scan format (``SCAN_FORMAT``, read by ``analysis.run_scan``) and the
+multiplier-check format (``CHECK_FORMAT``, read by the CLI) are tables here
+too.
 """
 
 from __future__ import annotations
@@ -36,39 +32,153 @@ import warnings
 from dataclasses import dataclass, field
 
 from . import profiles as _profiles
+from .analysis import WINDOW_FRACTION
 from .errors import DomainError, ResourceCapError, ValidationError
-from .multipliers import _check_orders
+from .multipliers import DEFAULT_K, _check_orders
 from .solver import Grid, NonlinearitySpec, WeightedNormSpec
 
-DEFAULTS = {
-    "dt_max": 0.1,
-    "blowup_factor": 1.0e6,
-    "m_list": [1.0],
-    "samples_per_decade": 20,
-    "seed": 0,
-    "memory_cap_bytes": 2_000_000_000,
-}
+# the default of a key that must be given
+REQUIRED = object()
 
-# the keys a run config may hold, at top level ("") and in each section
-_KEYS = {
-    "": (*DEFAULTS, "profile", "mu", "nu", "grid", "nonlinearity", "data", "T", "weighted"),
-    "profile": ("kind", "q", "r", "lambda0", "table_t", "table_lambda", "mu", "nu"),
-    "grid": ("n", "N", "L"),
-    "nonlinearity": ("form", "p", "gamma", "scaling"),
-    "data": ("kind", "amplitude", "width", "seed"),
-    "weighted": ("enabled", "mu"),
-}
+_FINITE = (math.isfinite, "finite")
+_POSITIVE = (lambda v: 0.0 < v < math.inf, "a positive finite number")
+_NON_NEGATIVE = (lambda v: 0.0 <= v < math.inf, "a non-negative finite number")
+_AT_LEAST_ONE = (lambda v: v >= 1, "at least 1")
 
 # effective support radius of the data kinds, in units of the width
 _R0_FACTOR = {"gaussian": 6.5, "bump": 1.0, "mode_mix": 0.0}
 
+# build_profile checks the profile's values; they are kept as given, and so
+# hashed as written
+PROFILE_FORMAT = {key: (object, None, None)
+                  for key in ("kind", "q", "r", "lambda0", "table_t", "table_lambda")}
+_DAMPING = {"mu": (float, None, None), "nu": (float, None, None)}
+
+RUN_FORMAT = {
+    "profile": (PROFILE_FORMAT | _DAMPING, REQUIRED, None),
+    **_DAMPING,
+    "grid": ({"n": (int, 1, None), "N": (int, 1024, None),
+              "L": (float, None, _FINITE)}, {}, None),
+    "nonlinearity": ({"form": (str, NonlinearitySpec.form, None),
+                      "p": (float, NonlinearitySpec.p, None),
+                      "gamma": (float, NonlinearitySpec.gamma, _FINITE),
+                      "scaling": (str, NonlinearitySpec.scaling, None)}, {}, None),
+    "data": ({"kind": (str, "gaussian", (_R0_FACTOR.__contains__,
+                                         "one of " + ", ".join(_R0_FACTOR))),
+              "amplitude": (float, 1e-3, _FINITE),
+              "width": (float, 1.0, _POSITIVE),
+              "seed": (int, None, None)}, {}, None),
+    "T": (float, REQUIRED, _POSITIVE),
+    "dt_max": (float, 0.1, _POSITIVE),
+    "blowup_factor": (float, 1e6, (lambda v: 1.0 < v < math.inf,
+                                   "a finite number above 1")),
+    "m_list": (list, [1.0], (lambda v: all(0.0 < m < math.inf for m in v),
+                             "positive finite numbers")),
+    "samples_per_decade": (int, 20, _AT_LEAST_ONE),
+    "weighted": ({"enabled": (bool, WeightedNormSpec.enabled, None),
+                  "mu": (float, WeightedNormSpec.mu, _FINITE)}, {}, None),
+    "seed": (int, 0, None),
+    "memory_cap_bytes": (int, 2_000_000_000, None),
+}
+
+# base: a run config; axes: axis name -> values (see analysis.run_scan);
+# workers: None defers to DAMPWAVE_THREADS, then to the CPU count
+SCAN_FORMAT = {
+    "base": (RUN_FORMAT, REQUIRED, None),
+    "axes": (dict, REQUIRED, None),
+    "classify": ({"threshold_m": (float, 1.0, None),
+                  "window_fraction": (float, 0.5, WINDOW_FRACTION),
+                  "min_slope": (float, 0.05, None),
+                  "max_residual": (float, 0.25, None),
+                  "growth_tol": (float, 1.1, None)}, {}, None),
+    "workers": (int, None, _AT_LEAST_ONE),
+}
+
+# the multiplier-check command's config
+CHECK_FORMAT = {
+    "profile": (PROFILE_FORMAT, {"kind": "constant"}, None),
+    "mu": (float, 2.0, None),
+    "samples": (int, 100, _AT_LEAST_ONE),
+    "seed": (int, 0, None),
+    "s_max": (float, 2.0, _NON_NEGATIVE),
+    "dt_max": (float, 50.0, _NON_NEGATIVE),
+    "tau_cap": (float, 3000.0, None),
+    "K": (float, DEFAULT_K, None),
+    "xi_range": (list, [1e-3, 50.0], (lambda v: len(v) == 2 and 0.0 < v[0] < v[1] < math.inf,
+                                      "[xi_lo, xi_hi] with 0 < xi_lo < xi_hi")),
+}
+
+_WHAT = {float: "a number", int: "an integer", bool: "true or false", str: "a string",
+         list: "a list of numbers", dict: "a JSON object"}
+
+
+def _cast(kind, value):
+    """``value`` as a ``kind`` of ``read``, or None if it is not one."""
+    if kind is list:
+        items = ([_cast(float, v) for v in value] if isinstance(value, (list, tuple))
+                 else [None])
+        return None if None in items else items
+    if kind in (bool, str, dict):
+        return value if isinstance(value, kind) else None
+    # a JSON number: bools are ints to Python but not numbers here
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
+    try:
+        out = kind(value)
+    except (ValueError, OverflowError):  # int() of nan or inf, float() of a huge int
+        return None
+    return out if kind is float or out == value else None
+
+
+def read(raw, fmt, violations, where=""):
+    """The values of the JSON object ``raw`` under the format table ``fmt``.
+
+    ``fmt`` maps each key to (type, default, limit).  The type is float,
+    int, bool, str, list (of numbers), dict (a JSON object kept as given),
+    object (any value kept as given, left out when absent) or the table of
+    a nested section.  An absent key takes the default (REQUIRED: it must
+    be given); a default of None lets null stand for an absent key.  The
+    limit is None or (condition, what a valid value is).  Each violation
+    is appended to ``violations`` under the key prefix ``where``, and the
+    failing value is replaced by its default.
+    """
+    violations += [f"{where}{key} is not a config key" for key in raw if key not in fmt]
+    out = {}
+    for key, (kind, default, limit) in fmt.items():
+        name = where + key
+        value = raw.get(key, default)
+        if kind is object:
+            if key in raw:
+                out[key] = value
+            continue
+        if value is REQUIRED:
+            violations.append(f"missing required key {name!r}")
+            out[key] = None
+            continue
+        if value is None and default is None:
+            out[key] = None
+            continue
+        section, kind = (kind, dict) if isinstance(kind, dict) else (None, kind)
+        cast = _cast(kind, value)
+        if cast is None:
+            # a section that is not an object is named by its own key
+            violations.append(f"{name if section is None else key} must be {_WHAT[kind]}, "
+                              f"got {value!r}")
+        elif limit is not None and not limit[0](cast):
+            violations.append(f"{name} must be {limit[1]}, got {value!r}")
+        else:
+            out[key] = cast if section is None else read(cast, section, violations, name + ".")
+            continue
+        out[key] = read({}, {key: fmt[key]}, [], where)[key]
+    return out
+
 
 @dataclass(frozen=True)
 class InitialDataSpec:
-    kind: str = "gaussian"
-    amplitude: float = 1e-3
-    width: float = 1.0
-    seed: int = 0
+    kind: str
+    amplitude: float
+    width: float
+    seed: int
 
 
 @dataclass(frozen=True)
@@ -84,7 +194,6 @@ class RunConfig:
     m_list: tuple
     samples_per_decade: int
     weighted: WeightedNormSpec
-    seed: int
     r0: float
     run_id: str
     canonical: dict = field(repr=False)
@@ -108,75 +217,33 @@ def config_hash(canonical):
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _build_profile(spec, violations):
+def build_profile(spec, violations):
+    """The speed profile of a ``PROFILE_FORMAT`` object, or None with a violation."""
     kind = spec.get("kind")
-    lam0 = spec.get("lambda0")
+    lam0 = {} if spec.get("lambda0") is None else {"lambda0": spec["lambda0"]}
     try:
         if kind == "constant":
-            return _profiles.constant_profile(1.0 if lam0 is None else lam0)
+            return _profiles.constant_profile(**lam0)
         if kind == "polynomial":
             if "q" not in spec:
                 violations.append("polynomial profile needs 'q'")
                 return None
-            return _profiles.polynomial_profile(spec["q"], lam0)
+            return _profiles.polynomial_profile(spec["q"], **lam0)
         if kind == "exponential":
             if "r" not in spec:
                 violations.append("exponential profile needs 'r'")
                 return None
-            return _profiles.exponential_profile(spec["r"], lam0)
+            return _profiles.exponential_profile(spec["r"], **lam0)
         if kind == "custom":
             if "table_t" not in spec or "table_lambda" not in spec:
                 violations.append("custom profile needs 'table_t' and 'table_lambda'")
                 return None
-            return _profiles.custom_profile(spec["table_t"], spec["table_lambda"],
-                                            1.0 if lam0 is None else lam0)
-    except (DomainError, TypeError, ValueError) as exc:
+            return _profiles.custom_profile(spec["table_t"], spec["table_lambda"], **lam0)
+    except (DomainError, TypeError, ValueError, OverflowError) as exc:
         violations.append(f"profile: {exc}")
         return None
     violations.append(f"unknown profile kind {kind!r}")
     return None
-
-
-def _is_number(value):
-    """A JSON number: bools are ints to Python but not numbers here."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _number(section, key, default, cast, violations, prefix=""):
-    """``cast(section[key])``, or ``default`` with a violation if that fails.
-
-    The value must be a number; with ``cast=int`` also an integral one.
-    """
-    value = section.get(key, default)
-    try:
-        if not _is_number(value):
-            raise TypeError
-        out = cast(value)
-    except (TypeError, ValueError, OverflowError):
-        violations.append(f"{prefix}{key} must be a number, got {value!r}")
-        return default
-    if cast is int and out != value:
-        violations.append(f"{prefix}{key} must be an integer, got {value!r}")
-        return default
-    return out
-
-
-def _section(raw, key, violations):
-    """The JSON object ``raw[key]`` as a dict ({} if absent or not an object)."""
-    value = raw.get(key, {})
-    if not isinstance(value, dict):
-        violations.append(f"{key} must be a JSON object, got {value!r}")
-        return {}
-    return dict(value)
-
-
-def _number_list(section, key, default, violations, prefix=""):
-    """``[float(v) for v in section[key]]``, or ``default`` with a violation."""
-    value = section.get(key, default)
-    if isinstance(value, (list, tuple)) and all(_is_number(v) for v in value):
-        return [float(v) for v in value]
-    violations.append(f"{prefix}{key} must be a list of numbers, got {value!r}")
-    return list(default)
 
 
 def parse_json(text):
@@ -185,17 +252,6 @@ def parse_json(text):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError([f"config is not valid JSON: {exc}"]) from None
-
-
-def _unknown_keys(raw, prefix=""):
-    """One violation per key of the run config ``raw`` that the format does not name."""
-    violations = []
-    for section, known in _KEYS.items():
-        obj = raw.get(section) if section else raw
-        if isinstance(obj, dict):
-            violations += [f"{prefix}{section}{'.' if section else ''}{key} is not a config key"
-                           for key in obj if key not in known]
-    return violations
 
 
 def validate_config(raw):
@@ -209,133 +265,71 @@ def validate_config(raw):
         raw = parse_json(raw)
     if not isinstance(raw, dict):
         raise ValidationError(["config must be a JSON object"])
-    violations = _unknown_keys(raw)
-    notes = []
-
-    for key in ("profile", "T"):
-        if key not in raw:
-            violations.append(f"missing required key {key!r}")
+    violations = []
+    cfg = read(raw, RUN_FORMAT, violations)
 
     # mu/nu may sit at top level or inside the profile object; exactly one
-    # of the two names may be present overall
-    profile_raw = _section(raw, "profile", violations)
-    damping_keys = [(k, src[k]) for src in (raw, profile_raw)
-                    for k in ("mu", "nu") if k in src]
-    if len(damping_keys) != 1:
+    # of the two names may be given overall
+    spec = cfg["profile"]
+    given = [(key, sec.pop(key, None)) for sec in (cfg, spec or {}) for key in ("mu", "nu")]
+    given = [(key, value) for key, value in given if value is not None]
+    if len(given) != 1:
         violations.append("exactly one of 'mu'/'nu' must be present")
-    profile_raw.pop("mu", None)
-    profile_raw.pop("nu", None)
-
-    profile = None
-    if "profile" in raw:
-        profile = _build_profile(profile_raw, violations)
+    profile = None if spec is None else build_profile(spec, violations)
 
     damping = None
-    if profile is not None and len(damping_keys) == 1:
-        key, value = damping_keys[0]
-        value = _number({key: value}, key, None, float, violations)
+    if profile is not None and len(given) == 1:
+        key, value = given[0]
         try:
-            if value is not None:
-                damping = (_profiles.DampingSpec.from_mu(value) if key == "mu"
-                           else _profiles.DampingSpec.from_nu(value, profile))
-                _check_orders(damping.mu)
+            damping = (_profiles.DampingSpec.from_mu(value) if key == "mu"
+                       else _profiles.DampingSpec.from_nu(value, profile))
+            _check_orders(damping.mu)
         except DomainError as exc:
             violations.append(str(exc))
 
-    T = _number(raw, "T", None, float, violations) if "T" in raw else None
-    if T is not None and not 0.0 < T < math.inf:
-        violations.append("T must be a positive finite number")
-        T = None
+    T = cfg["T"]
     if profile is not None and T is not None and T > profile.t_max:
         violations.append(f"T={T:g} beyond the custom profile table end {profile.t_max:g}")
 
-    grid_raw = _section(raw, "grid", violations)
-    n = _number(grid_raw, "n", 1, int, violations, "grid.")
-    N = _number(grid_raw, "N", 1024, int, violations, "grid.")
-    data_raw = _section(raw, "data", violations)
-    data = InitialDataSpec(
-        kind=data_raw.get("kind", "gaussian"),
-        amplitude=_number(data_raw, "amplitude", 1e-3, float, violations, "data."),
-        width=_number(data_raw, "width", 1.0, float, violations, "data."),
-        seed=_number(data_raw, "seed", raw.get("seed", DEFAULTS["seed"]), int,
-                     violations, "data."))
-    if not isinstance(data.kind, str) or data.kind not in _R0_FACTOR:
-        violations.append(f"unknown data kind {data.kind!r}")
-        r0 = 0.0
-    else:
-        r0 = _R0_FACTOR[data.kind] * data.width
-
-    grid = None
-    L = grid_raw.get("L")
-    if L is not None:
-        L = _number(grid_raw, "L", None, float, violations, "grid.")
+    if cfg["data"]["seed"] is None:
+        cfg["data"]["seed"] = cfg["seed"]
+    data = InitialDataSpec(**cfg["data"])
+    r0 = _R0_FACTOR[data.kind] * data.width
+    box = cfg["grid"]
     if profile is not None and T is not None:
         try:
-            lam0 = profile.lambda0
-            L_rule = r0 + (float(profile.Lambda_at(min(T, profile.t_max))) - lam0) + 2.0
-            if L is None:
-                L = L_rule
-            elif L < L_rule - 1e-9:
+            L_rule = r0 + (float(profile.Lambda_at(min(T, profile.t_max)))
+                           - profile.lambda0) + 2.0
+        except (DomainError, OverflowError) as exc:  # Lambda(T) beyond float range
+            violations.append(f"grid: sizing rule at T={T:g}: {exc}")
+        else:
+            if box["L"] is None:
+                box["L"] = L_rule
+            elif box["L"] < L_rule - 1e-9:
                 violations.append(
-                    f"grid.L={L:g} below the domain-sizing rule {L_rule:g}"
+                    f"grid.L={box['L']:g} below the domain-sizing rule {L_rule:g}"
                     " (light cone would wrap around)")
-            if L is not None and L > 0 and not violations:
-                grid = Grid(n=n, N=N, L=float(L))
-        except DomainError as exc:
-            violations.append(f"grid: {exc}")
 
-    nl_raw = _section(raw, "nonlinearity", violations)
-    nonlin = None
-    nl_gamma = _number(nl_raw, "gamma", 0.0, float, violations, "nonlinearity.")
     try:
-        nonlin = NonlinearitySpec(
-            form=nl_raw.get("form", "zero"),
-            p=_number(nl_raw, "p", 2.0, float, violations, "nonlinearity."),
-            gamma=nl_gamma,
-            scaling=nl_raw.get("scaling", "plain"))
+        nonlin = NonlinearitySpec(**cfg["nonlinearity"])
     except DomainError as exc:
         violations.append(f"nonlinearity: {exc}")
-
-    w_raw = _section(raw, "weighted", violations)
-    enabled = w_raw.get("enabled", False)
-    if not isinstance(enabled, bool):
-        violations.append(f"weighted.enabled must be true or false, got {enabled!r}")
-    w_mu = (None if w_raw.get("mu") is None
-            else _number(w_raw, "mu", None, float, violations, "weighted."))
-    weighted = WeightedNormSpec(enabled=enabled is True, mu=w_mu)
-
-    dt_max = _number(raw, "dt_max", DEFAULTS["dt_max"], float, violations)
-    blowup_factor = _number(raw, "blowup_factor", DEFAULTS["blowup_factor"], float,
-                            violations)
-    m_list = _number_list(raw, "m_list", DEFAULTS["m_list"], violations)
-    samples_per_decade = _number(raw, "samples_per_decade",
-                                 DEFAULTS["samples_per_decade"], int, violations)
-    seed = _number(raw, "seed", DEFAULTS["seed"], int, violations)
-
-    for name, ok, need in (
-            ("data.width", 0.0 < data.width < math.inf, "a positive finite number"),
-            ("dt_max", 0.0 < dt_max < math.inf, "a positive finite number"),
-            ("blowup_factor", 1.0 < blowup_factor < math.inf, "a finite number above 1"),
-            ("m_list", all(0.0 < m < math.inf for m in m_list), "positive finite numbers"),
-            ("data.amplitude", math.isfinite(data.amplitude), "finite"),
-            ("grid.L", L is None or math.isfinite(L), "finite"),
-            ("nonlinearity.gamma", math.isfinite(nl_gamma), "finite"),
-            ("weighted.mu", w_mu is None or math.isfinite(w_mu), "finite")):
-        if not ok:
-            violations.append(f"{name} must be {need}")
-
-    mem = _number(raw, "memory_cap_bytes", DEFAULTS["memory_cap_bytes"], int,
-                  violations)
-    if grid is not None:
-        est = 16 * 8 * N**n  # ~16 working arrays of float64
-        if est > mem:
-            raise ResourceCapError(
-                f"grid memory estimate {est} bytes exceeds cap {mem}")
-
+    if not violations:
+        try:
+            grid = Grid(**box)
+        except DomainError as exc:
+            violations.append(f"grid: {exc}")
     if violations:
         raise ValidationError(violations)
 
+    mem = cfg.pop("memory_cap_bytes")
+    est = 16 * 8 * grid.N**grid.n  # ~16 working arrays of float64
+    if est > mem:
+        raise ResourceCapError(f"grid memory estimate {est} bytes exceeds cap {mem}")
+
     # non-fatal admissibility notes
+    notes = []
+    n = grid.n
     if nonlin.form != "zero":
         if n >= 3 and nonlin.p > 1.0 + 2.0 / (n - 2.0):
             notes.append(f"p={nonlin.p:g} exceeds the admissibility bound "
@@ -348,29 +342,10 @@ def validate_config(raw):
     for msg in notes:
         warnings.warn(msg, UserWarning, stacklevel=2)
 
-    canonical = {
-        "profile": {k: profile_raw[k] for k in sorted(profile_raw)},
-        "mu": damping.mu,
-        "grid": {"n": n, "N": N, "L": float(L)},
-        "nonlinearity": {"form": nonlin.form, "p": nonlin.p,
-                         "gamma": nonlin.gamma, "scaling": nonlin.scaling},
-        "data": {"kind": data.kind, "amplitude": data.amplitude,
-                 "width": data.width, "seed": data.seed},
-        "T": float(T),
-        "dt_max": dt_max,
-        "blowup_factor": blowup_factor,
-        "m_list": m_list,
-        "samples_per_decade": samples_per_decade,
-        "weighted": {"enabled": weighted.enabled, "mu": weighted.mu},
-        "seed": seed,
-    }
-
+    cfg["mu"] = damping.mu
     return RunConfig(
         profile=profile, damping=damping, grid=grid, nonlin=nonlin, data=data,
-        T=float(T), dt_max=canonical["dt_max"],
-        blowup_factor=canonical["blowup_factor"],
-        m_list=tuple(canonical["m_list"]),
-        samples_per_decade=canonical["samples_per_decade"],
-        weighted=weighted, seed=canonical["seed"], r0=r0,
-        run_id=config_hash(canonical), canonical=canonical,
-        warnings=tuple(notes))
+        T=T, dt_max=cfg["dt_max"], blowup_factor=cfg["blowup_factor"],
+        m_list=tuple(cfg["m_list"]), samples_per_decade=cfg["samples_per_decade"],
+        weighted=WeightedNormSpec(**cfg["weighted"]), r0=r0,
+        run_id=config_hash(cfg), canonical=cfg, warnings=tuple(notes))

@@ -34,8 +34,6 @@ import numpy as np
 
 from .errors import DomainError
 
-PROFILE_KINDS = ("constant", "polynomial", "exponential", "custom")
-
 
 def _check_time(t):
     arr = np.asarray(t, dtype=float)
@@ -234,10 +232,9 @@ def custom_profile(table_t, table_lambda, lambda0=1.0):
 
 @dataclass(frozen=True)
 class DampingSpec:
-    """Structural damping strength mu (optionally recording the raw nu)."""
+    """Structural damping strength mu."""
 
     mu: float
-    nu: float | None = None
 
     def __post_init__(self):
         if not math.isfinite(self.mu):
@@ -262,7 +259,7 @@ class DampingSpec:
             mu = nu + 1.0
         else:
             raise DomainError("nu-form damping is defined only for the built-in families")
-        return cls(mu=mu, nu=nu)
+        return cls(mu=mu)
 
 
 def lambda_at(profile, t):

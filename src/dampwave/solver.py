@@ -55,8 +55,9 @@ class Grid:
             raise DomainError("dimension n must be 1, 2 or 3")
         if self.N < 16 or self.N & (self.N - 1) != 0:
             raise DomainError("N must be a power of two >= 16")
-        if not self.L > 0.0:
-            raise DomainError("box half-width L must be positive")
+        if not (self.L > 0.0 and math.isfinite(self.h)):
+            raise DomainError(f"box half-width L={self.L:g} must be positive, "
+                              "with a finite grid spacing 2L/N")
 
     @property
     def h(self):
@@ -380,7 +381,7 @@ def weight_identity_residual(profile, mu, grid, t):
     return WeightIdentityCheck(residual=residual, max_psi_t=float(np.max(psi_t)))
 
 
-def output_times(T, samples_per_decade=20, t_first=0.1):
+def output_times(T, samples_per_decade, t_first=0.1):
     """Log-spaced output times, 0 and T always included."""
     if T <= 0.0:
         return np.array([0.0])

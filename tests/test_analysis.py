@@ -58,6 +58,11 @@ def test_fit_errors():
     short = synthetic_series(lambda lam: lam**-1.0, lam_lo=1.0, lam_hi=5.0)
     with pytest.raises(FitWindowError):
         analysis.fit_decay(short, "L2")
+    decaying = synthetic_series(lambda lam: lam**-1.0)
+    for window in (0.0, -1.0, 1.5, math.nan, math.inf):
+        with pytest.raises(DomainError, match="window_fraction"):
+            analysis.fit_decay(decaying, "L2", window)
+    assert analysis.fit_decay(decaying, "L2", 1.0).alpha == pytest.approx(1.0, abs=1e-6)
 
 
 def test_series_csv_roundtrip(tmp_path):

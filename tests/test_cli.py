@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +87,10 @@ def test_simulate_negative_width_exit_code(tmp_path, capsys):
     ({"blowup_facter": 1e6}, "blowup_facter is not a config key"),
     ({"grid": {"n": 1, "N": 256, "l": 20.0}}, "grid.l is not a config key"),
     ({"mu": 30.0}, "mu=30 needs Hankel orders -14.5, -15.5 beyond +-10"),
+    ({"T": 1e308}, "grid: box half-width L=1e+308"),
+    ({"T": 1.0, "grid": {"n": 1, "N": 256, "L": 1.5e308}}, "grid: box half-width L=1.5e+308"),
+    ({"profile": {"kind": "polynomial", "q": 1e308}}, "grid: sizing rule at T=4"),
+    ({"samples_per_decade": 0}, "samples_per_decade must be at least 1"),
 ])
 def test_simulate_non_numeric_value_exit_code(tmp_path, capsys, overrides, name):
     cfg = run_config(tmp_path, **overrides)
@@ -128,6 +133,36 @@ def test_config_roundtrip_and_nested_damping(tmp_path):
     assert again.canonical == cfg.canonical
 
 
+README_CONFIG = {"profile": {"kind": "constant"}, "mu": 4.0, "grid": {"n": 1, "N": 4096},
+                 "nonlinearity": {"form": "signed_power", "p": 4.0, "gamma": 0.0},
+                 "data": {"kind": "gaussian", "amplitude": 1e-3, "width": 1.0}, "T": 200.0}
+
+
+@pytest.mark.parametrize("raw, run_id", [
+    (README_CONFIG, "c96df58f0a3d59fc"),
+    ({"profile": {"kind": "exponential", "r": 0.5, "nu": 3.0},
+      "grid": {"n": 1, "N": 256}, "T": 2.0}, "43ae3256c4ab32f0"),
+    ({"profile": {"kind": "polynomial", "q": 1.5}, "nu": 2.0,
+      "grid": {"n": 2, "N": 64, "L": 40.0}, "T": 3.0, "seed": 5,
+      "weighted": {"enabled": True, "mu": 2.5}, "m_list": [1, 3], "dt_max": 0.05,
+      "blowup_factor": 1e3, "samples_per_decade": 7, "memory_cap_bytes": 10000000000,
+      "data": {"kind": "mode_mix", "width": 0.5}}, "38c1f36d6dd16de1"),
+    ({"profile": {"kind": "custom", "table_t": [0, 1, 5], "table_lambda": [1, 2, 1.5],
+                  "lambda0": 2.0},
+      "mu": 1.5, "T": 4.0,
+      "nonlinearity": {"form": "absolute_power", "p": 2.2, "gamma": 1.0,
+                       "scaling": "structural"},
+      "data": {"kind": "bump", "seed": 3, "width": 2.0}}, "13cbc46a9699c26b"),
+])
+def test_run_id_is_pinned(raw, run_id):
+    # the canonical form, and so every run id, must not drift with refactors
+    from dampwave.config import validate_config
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        assert validate_config(raw).run_id == run_id
+
+
 def test_simulate_resource_cap_exit_code(tmp_path):
     cfg = run_config(tmp_path, memory_cap_bytes=1000)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 4
@@ -163,6 +198,28 @@ def test_decay_missing_track_is_validation_error(tmp_path, capsys):
     series_path = tmp_path / "series.csv"
     main(["simulate", "--config", cfg, "--out", str(series_path)])
     assert main(["decay", "--in", str(series_path), "--track", "nope"]) == 2
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["decay", "--window", "nan"], "window_fraction"),
+    (["decay", "--window", "inf"], "window_fraction"),
+    (["decay", "--window", "-1"], "window_fraction"),
+    (["decay", "--window", "0"], "window_fraction"),
+    (["exponents", "--n", "1", "--mu", "nan"], "mu and gamma must be finite"),
+    (["exponents", "--n", "1", "--mu", "inf"], "mu and gamma must be finite"),
+    (["exponents", "--n", "1", "--mu", "4", "--gamma", "nan"], "mu and gamma must be finite"),
+    (["gn", "--n", "1", "--q", "4", "--samples", "0"], "count must be >= 1"),
+])
+def test_bad_cli_number_exit_code(tmp_path, capsys, argv, name):
+    from dampwave.analysis import NormSeries
+
+    if argv[0] == "decay":
+        lam = np.geomspace(1.0, 1e3, 40)
+        series_path = tmp_path / "series.csv"
+        NormSeries(times=lam - 1.0, lambda_big=lam, tracks={"L2": lam**-0.5}).to_csv(series_path)
+        argv = argv + ["--in", str(series_path)]
+    assert main(argv) == 2
+    assert f"error: {name}" in capsys.readouterr().err
 
 
 def test_exponents_json(capsys):
@@ -216,6 +273,8 @@ def _mc_config(**overrides):
     (_mc_config(mu=float("nan")), "every number must be finite"),
     (_mc_config(profile="x"), "profile"),
     ([1, 2], "config must be a JSON object"),
+    (_mc_config(s_max=-1.0), "s_max"),
+    (_mc_config(dt_max=-5.0), "dt_max"),
 ])
 def test_multiplier_check_malformed_config_exit_code(tmp_path, capsys, cfg, name):
     path = write_json(tmp_path / "mc.json", cfg)
@@ -252,6 +311,8 @@ def test_invalid_json_config_exit_code(tmp_path, capsys, command):
     ({"base": {"K": 0.5}, "axes": {"eps": [0.1]}}, "base.K is not a config key"),
     ({"base": {"grid": {"l": 10.0}}, "axes": {"eps": [0.1]}},
      "base.grid.l is not a config key"),
+    ({"base": {}, "axes": {"eps": [0.1]}, "classify": {"window_fraction": float("nan")}},
+     "classify.window_fraction must be in (0, 1]"),
 ])
 def test_scan_malformed_config_exit_code(tmp_path, capsys, cfg, name):
     path = write_json(tmp_path / "scan.json", cfg)

@@ -24,6 +24,13 @@ def test_grid_validation():
         sv.Grid(n=1, N=48, L=1.0)  # not a power of two
     with pytest.raises(DomainError):
         sv.Grid(n=1, N=8, L=1.0)
+    # a box with an infinite grid spacing 2L/N
+    for N, L in ((4096, 1e308), (256, 1.5e308), (64, math.inf)):
+        with pytest.raises(DomainError, match="finite grid spacing"):
+            sv.Grid(n=1, N=N, L=L)
+    big = validate_config({"profile": {"kind": "constant"}, "mu": 4.0, "T": 1e300,
+                           "grid": {"n": 1, "N": 4096}})
+    assert big.grid.L == pytest.approx(1e300) and math.isfinite(big.grid.h)
 
 
 def test_initial_data_norms():
