@@ -375,7 +375,7 @@ def _gn_ratio(grid, u, q, theta):
     vol = grid.cell_volume
     lq = (np.sum(np.abs(u) ** q) * vol) ** (1.0 / q)
     l2 = math.sqrt(np.sum(u**2) * vol)
-    grad = math.sqrt(solver._gradient_norm_sq(grid, grid.fft(u)))
+    grad = math.sqrt(solver._weighted_sq(grid.grad_weight, grid.fft(u)))
     if l2 == 0.0 or grad == 0.0:
         return None
     return lq / (l2 ** (1.0 - theta) * grad**theta)

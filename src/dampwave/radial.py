@@ -42,13 +42,9 @@ class RadialNorms:
     t: float
 
 
-def _simpson_rows(count):
-    """(fine, coarse) Simpson weights, shape (2, m), for m uniform points on [0, 1].
-
-    m is ``count`` rounded up to 1 mod 4, so the even-indexed points, which
-    the coarse row uses, form a Simpson grid too.
-    """
-    m = count + (1 - count) % 4
+def _simpson_rows(m):
+    """(fine, coarse) Simpson weights, shape (2, m), for m = 1 mod 4 uniform
+    points on [0, 1]; the coarse row uses the even-indexed points."""
     rows = np.zeros((2, m))
     for row, step in zip(rows, (1, 2)):
         nodes = row[::step]  # a view: 1, 4, 2, ..., 4, 1 times the step
@@ -58,34 +54,49 @@ def _simpson_rows(count):
     return rows / (3.0 * (m - 1))
 
 
-def _rule(Lam, n, xi_max, pts_per_period, log_pts_per_decade):
-    """Strictly increasing nodes and their (fine, coarse) weights, shape (2, m).
+def _nodes(Lam, xi_max, pts_per_period, log_pts_per_decade):
+    """Strictly increasing nodes and their zones [(lo, hi, m, geometric)].
 
-    The log zone resolves the K/Lambda(t) structure at low frequency; it is
-    capped at xi = 1 because spectra like Gaussians are steep on a log scale
-    beyond that, where the uniform zone is the better tool.
+    Each zone has m = 1 mod 4 nodes, so its even-indexed nodes form a
+    Simpson grid too; the uniform zone shares its first node with the end of
+    the log zone.  The log zone resolves the K/Lambda(t) structure at low
+    frequency; it is capped at xi = 1 because spectra like Gaussians are
+    steep on a log scale beyond that, where the uniform zone is the better
+    tool.
     """
     xi_split = min(30.0 / Lam, 1.0, xi_max)  # tau < 30 and xi <= 1 below
     xi_lo = max(xi_max * 1e-12, (DEFAULT_K / Lam) * 1e-4, 1e-12)
-    xi, w = np.empty(0), np.empty((2, 0))
+    zones, parts = [], []
     if xi_split > xi_lo:
-        w = _simpson_rows(max(65, int(2 * log_pts_per_decade
-                                      * math.log10(xi_split / xi_lo)) + 1))
-        xi = np.geomspace(xi_lo, xi_split, w.shape[1])
-        # int f dxi = int f xi dln(xi); the integrand tends to a constant
-        # below xi_lo, so [0, xi_lo] adds f(xi_lo) xi_lo / n
-        w *= math.log(xi_split / xi_lo) * xi
-        w[:, 0] += xi_lo / n
+        count = max(65, int(2 * log_pts_per_decade * math.log10(xi_split / xi_lo)) + 1)
+        zones.append((xi_lo, xi_split, count + (1 - count) % 4, True))
     if xi_max > xi_split * (1.0 + 1e-12):
         dxi = math.pi / (Lam * pts_per_period)
-        w_lin = _simpson_rows(max(513, int(math.ceil((xi_max - xi_split) / dxi)) + 1))
-        lin = np.linspace(xi_split, xi_max, w_lin.shape[1])
-        w_lin *= xi_max - xi_split
-        if xi.size:  # the junction xi_split is the log zone's last node
-            w[:, -1] += w_lin[:, 0]
-            lin, w_lin = lin[1:], w_lin[:, 1:]
-        xi, w = np.concatenate([xi, lin]), np.concatenate([w, w_lin], axis=1)
-    return xi, w
+        count = max(513, int(math.ceil((xi_max - xi_split) / dxi)) + 1)
+        zones.append((xi_split, xi_max, count + (1 - count) % 4, False))
+    for lo, hi, m, geometric in zones:
+        part = np.geomspace(lo, hi, m) if geometric else np.linspace(lo, hi, m)
+        parts.append(part[1:] if parts else part)
+    return (np.concatenate(parts) if parts else np.empty(0)), zones
+
+
+def _weights(xi, zones, n):
+    """(fine, coarse) weights on the nodes of ``_nodes``, shape (2, xi.size)."""
+    w = np.empty((2, 0))
+    for lo, hi, m, geometric in zones:
+        w_zone = _simpson_rows(m)
+        if geometric:
+            # int f dxi = int f xi dln(xi); the integrand tends to a constant
+            # below xi_lo, so [0, xi_lo] adds f(xi_lo) xi_lo / n
+            w_zone *= math.log(hi / lo) * xi[:m]
+            w_zone[:, 0] += lo / n
+        else:
+            w_zone *= hi - lo
+        if w.shape[1]:  # the junction is the previous zone's last node
+            w[:, -1] += w_zone[:, 0]
+            w_zone = w_zone[:, 1:]
+        w = np.concatenate([w, w_zone], axis=1)
+    return w
 
 
 def linear_norm_radial(mu, profile, v0_hat, v1_hat, t, n=1, s=0.0,
@@ -105,12 +116,14 @@ def linear_norm_radial(mu, profile, v0_hat, v1_hat, t, n=1, s=0.0,
         mags = np.abs(v0_hat(probe)) + np.abs(v1_hat(probe))
         alive = probe[mags > 1e-15 * max(float(np.max(mags)), 1e-300)]
         xi_max = float(alive[-1]) * 1.5 if alive.size else 0.0
-    xi, weights = _rule(float(profile.Lambda_at(t)), n, xi_max, pts_per_period,
-                        log_pts_per_decade)
+    xi, zones = _nodes(float(profile.Lambda_at(t)), xi_max, pts_per_period,
+                       log_pts_per_decade)
     if xi.size == 0:
         return RadialNorms(l2=0.0, energy=0.0, t=t)
     lam = float(profile.lambda_at(t))
     p0, p1, d0, d1 = phi_values_grid(mu, profile, s, t, xi)
+    # built after the multiplier call, where memory peaks
+    weights = _weights(xi, zones, n)
     a0, a1 = v0_hat(xi), v1_hat(xi)
     vh2 = np.abs(p0 * a0 + p1 * a1) ** 2
     vth2 = np.abs(d0 * a0 + d1 * a1) ** 2

@@ -12,13 +12,24 @@ and the full-step propagator is composed of the two exact half steps.
 Power nonlinearities are evaluated pointwise in physical space and their
 transform is truncated by the 2/3 rule every step.
 
+The state a step evolves is the pair of rfftn spectra (uh, uth).  A
+nonlinear step transforms three times: the midpoint field to physical
+space, the nonlinearity back, and the end field to physical space for the
+blow-up check; a linear step transforms once, for that check.  u_t is
+formed in physical space only when something reads it, and the norms take
+the gradient and u_t by Parseval from the spectra, so recording a sample
+needs no transform.
+
 The multipliers of a pair (s, t) are cross products of Bessel values at
 Lambda(s)|xi| and Lambda(t)|xi|.  ``simulate`` keeps them per time node in
 one multipliers.NodeStore for the run: a step's midpoint serves both of its
 half steps, and its end is the next step's start, so each step evaluates
 two new node sets (tm and t1) instead of four.  The store also sorts the
-grid's |xi| once per run.  Blow-up (a non-finite value or max|u| above the
-threshold) is checked after every step and dated by that step.
+grid's |xi| once per run.  With a zero nonlinearity the propagator is exact
+over any interval, so ``simulate`` takes one step per output interval.
+Blow-up (a non-finite value or max|u| above the threshold) is checked after
+every step and dated by that step; in a linear run that is the output time
+ending the step.
 
 Because data are compactly concentrated and the propagation speed is
 lambda(t), solutions on a box with L >= R0 + (Lambda(T) - lambda0) + margin
@@ -30,7 +41,7 @@ output time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -126,6 +137,35 @@ class Grid:
             keep = keep & (idx.reshape(sh) <= cut)
         return keep
 
+    @cached_property
+    def l2_weight(self):
+        """Parseval weights of the rfftn half spectrum, along its last axis:
+        sum |v|^2 h^n is sum l2_weight |rfftn(v)|^2 for a real v.
+
+        Off the planes j = 0 and j = N/2 of the last axis each stored mode
+        stands for its mirror image as well, so it counts twice.
+        """
+        j = np.arange(self.N // 2 + 1)
+        edge = (j == 0) | (j == self.N // 2)
+        return np.where(edge, 1.0, 2.0) * (self.cell_volume / float(self.N) ** self.n)
+
+    @cached_property
+    def grad_weight(self):
+        """l2_weight times |k|^2 as the spectral gradient ifft(i k_d vh) sees it.
+
+        On the planes j = 0 and j = N/2 of the last axis the inverse real
+        transform keeps only the Hermitian part of i k_d vh, which is zero at
+        axis d's Nyquist index, so k_d counts as 0 there.
+        """
+        half = self.N // 2
+        j = np.arange(half + 1)
+        edge = (j == 0) | (j == half)
+        k2 = np.zeros(self.spectral_shape)
+        for d, k in enumerate(self.wavenumbers):
+            index = np.arange(k.shape[d]).reshape(k.shape)
+            k2 = k2 + np.where((index == half) & edge, 0.0, k**2)
+        return self.l2_weight * k2
+
     def fft(self, u):
         return np.fft.rfftn(u)
 
@@ -133,19 +173,48 @@ class Grid:
         return np.fft.irfftn(uh, s=self.shape, axes=tuple(range(self.n)))
 
 
-@dataclass(frozen=True)
 class FieldState:
-    """Solution pair (u, u_t) at time t; arrays are real on the grid.
+    """Solution pair (u, u_t) at time t on a grid.
 
-    Spectra are always derived from the physical arrays on demand, so the
-    two representations cannot fall out of sync.  ``blowup_t`` is set when
-    a step produced a non-finite nonlinearity.
+    Each of u and u_t is held in physical space, as its rfftn spectrum, or
+    both.  A state is built from one representation of each (``u`` or
+    ``uh``, ``ut`` or ``uth``); the other is derived through the grid's
+    transforms the first time it is read and then kept, so the two cannot
+    disagree.  A state built from a spectrum needs its ``grid``.  The steps
+    return states built from spectra, whose ``u`` and ``ut`` are formed on
+    first read.  ``blowup_t`` is set when a step produced a non-finite
+    nonlinearity.
     """
 
-    u: np.ndarray
-    ut: np.ndarray
-    t: float
-    blowup_t: float | None = None
+    __slots__ = ("t", "blowup_t", "_grid", "_u", "_ut", "_uh", "_uth")
+
+    def __init__(self, u=None, ut=None, *, t, blowup_t=None, uh=None, uth=None, grid=None):
+        if (u is None) == (uh is None) or (ut is None) == (uth is None):
+            raise ValueError("a state takes one of u, uh and one of ut, uth")
+        if grid is None and (u is None or ut is None):
+            raise ValueError("a state built from a spectrum needs its grid")
+        self.t, self.blowup_t, self._grid = t, blowup_t, grid
+        self._u, self._ut, self._uh, self._uth = u, ut, uh, uth
+
+    @property
+    def u(self):
+        if self._u is None:
+            self._u = self._grid.ifft(self._uh)
+        return self._u
+
+    @property
+    def ut(self):
+        if self._ut is None:
+            self._ut = self._grid.ifft(self._uth)
+        return self._ut
+
+    def spectra(self, grid):
+        """(uh, uth); physical arrays are transformed on ``grid``."""
+        if self._uh is None:
+            self._uh = grid.fft(self._u)
+        if self._uth is None:
+            self._uth = grid.fft(self._ut)
+        return self._uh, self._uth
 
 
 @dataclass(frozen=True)
@@ -246,26 +315,24 @@ class NormSample:
     weighted_saturated: bool = False
 
 
-def _gradient_norm_sq(grid, uh):
-    vol = grid.cell_volume
-    total = 0.0
-    for k in grid.wavenumbers:
-        total += np.sum(np.abs(grid.ifft(1j * k * uh)) ** 2) * vol
-    return total
+def _weighted_sq(weight, vh):
+    """sum weight |vh|^2: a squared L2 norm by Parseval (Grid.l2_weight,
+    Grid.grad_weight)."""
+    return float(np.sum(weight * (vh.real**2 + vh.imag**2)))
 
 
 def norms(state, profile, mu, grid, m_list=(1.0,), weighted=None):
-    """All tracked norms of the state; gradients are spectral."""
+    """All tracked norms of the state; the gradient and u_t by Parseval."""
     vol = grid.cell_volume
-    u, ut = state.u, state.ut
+    u = state.u
+    uh, uth = state.spectra(grid)
     lm = {}
     for m in m_list:
         lm[float(m)] = float((np.sum(np.abs(u) ** m) * vol) ** (1.0 / m))
     l2 = float(math.sqrt(np.sum(u**2) * vol))
     linf = float(np.max(np.abs(u)))
-    uh = grid.fft(u)
-    grad_sq = _gradient_norm_sq(grid, uh)
-    ut_sq = float(np.sum(ut**2) * vol)
+    grad_sq = _weighted_sq(grid.grad_weight, uh)
+    ut_sq = _weighted_sq(grid.l2_weight, uth)
     lam = float(profile.lambda_at(state.t))
     h1_semi = math.sqrt(grad_sq)
     sample = {
@@ -313,11 +380,9 @@ def linear_step(state, profile, mu, grid, dt, *, store=None):
         raise DomainError("dt must be nonnegative")
     if dt == 0.0:
         return state
-    uh = grid.fft(state.u)
-    uth = grid.fft(state.ut)
+    uh, uth = state.spectra(grid)
     vh, vth = _propagate_spectra(mu, profile, state.t, state.t + dt, grid, uh, uth, store)
-    return FieldState(u=grid.ifft(vh), ut=grid.ifft(vth), t=state.t + dt,
-                      blowup_t=state.blowup_t)
+    return FieldState(uh=vh, uth=vth, t=state.t + dt, blowup_t=state.blowup_t, grid=grid)
 
 
 def duhamel_step(state, profile, mu, grid, nonlin, dt, *, store=None):
@@ -334,20 +399,17 @@ def duhamel_step(state, profile, mu, grid, nonlin, dt, *, store=None):
     t0 = state.t
     tm = t0 + 0.5 * dt
     t1 = t0 + dt
-    uh = grid.fft(state.u)
-    uth = grid.fft(state.ut)
+    uh, uth = state.spectra(grid)
     # exact half step, nonlinearity sampled at the midpoint
     mh, mth = _propagate_spectra(mu, profile, t0, tm, grid, uh, uth, store)
-    u_mid = grid.ifft(mh)
-    fval = nonlin.prefactor(profile, tm) * nonlin.g(u_mid)
+    fval = nonlin.prefactor(profile, tm) * nonlin.g(grid.ifft(mh))
     if not np.all(np.isfinite(fval)):
-        return replace(state, blowup_t=t1)
+        return FieldState(uh=uh, uth=uth, t=t0, blowup_t=t1, grid=grid)
     fh = grid.fft(fval) * grid.dealias_mask
-    # second exact half step of the homogeneous part
-    p0, p1, d0, d1 = multipliers.phi_values_grid(mu, profile, tm, t1, grid.xi, store=store)
-    vh = p0 * mh + p1 * mth + dt * (p1 * fh)
-    vth = d0 * mh + d1 * mth + dt * (d1 * fh)
-    return FieldState(u=grid.ifft(vh), ut=grid.ifft(vth), t=t1)
+    # the midpoint rule kicks u_t by dt f, then the second exact half step
+    # carries it: M(t1, tm) (mh, mth + dt fh)
+    vh, vth = _propagate_spectra(mu, profile, tm, t1, grid, mh, mth + dt * fh, store)
+    return FieldState(uh=vh, uth=vth, t=t1, grid=grid)
 
 
 def cone_excess(state, grid, profile, r0, pad=0.0):
@@ -393,16 +455,16 @@ def output_times(T, samples_per_decade, t_first=0.1):
     return np.concatenate([[0.0], times])
 
 
-def _blowup(state, threshold):
+def _blowup(state, grid, threshold):
     """BlowupRecord if the step that produced ``state`` blew up, else None.
 
     A non-finite nonlinearity is dated by ``state.blowup_t``, the end of the
-    step that met it; a non-finite field or max|u| above ``threshold`` by
-    the time of the state.
+    step that met it; a non-finite u or uth, or max|u| above ``threshold``,
+    by the time of the state.
     """
     if state.blowup_t is not None:
         reason, t_star = "nonlinearity overflow", state.blowup_t
-    elif not (np.all(np.isfinite(state.u)) and np.all(np.isfinite(state.ut))):
+    elif not (np.all(np.isfinite(state.u)) and np.all(np.isfinite(state.spectra(grid)[1]))):
         reason, t_star = "non-finite field", state.t
     elif float(np.max(np.abs(state.u))) > threshold:
         reason, t_star = "amplitude threshold", state.t
@@ -460,10 +522,12 @@ def simulate(config):
     threshold = config.blowup_factor * peak0
     for t_out in times[1:]:
         while state.t < t_out and blowup is None:
-            lam_now = float(profile.lambda_at(state.t))
-            dt = min(config.dt_max, 0.25 * grid.h / lam_now, t_out - state.t)
+            dt = t_out - state.t
+            if nonlin.form != "zero":  # the linear propagator is exact over any dt
+                lam_now = float(profile.lambda_at(state.t))
+                dt = min(config.dt_max, 0.25 * grid.h / lam_now, dt)
             state = duhamel_step(state, profile, mu, grid, nonlin, dt, store=store)
-            blowup = _blowup(state, threshold)
+            blowup = _blowup(state, grid, threshold)
         if blowup is not None:
             t_star = blowup.t_star
             rows.append({"t": t_star, "Lambda_t": float(profile.Lambda_at(t_star)),

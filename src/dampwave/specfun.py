@@ -160,10 +160,17 @@ def _jy_series_typed(nu, x):
 
 
 def _cospi_sinpi(v, dt):
-    """(cos(v*pi), sin(v*pi)) in dtype dt; exact at integers."""
+    """(cos(v*pi), sin(v*pi)) in dtype dt; exact at integers and half-integers.
+
+    cos(pi/2) rounds to ~6e-17 in float64 (~1e-20 in longdouble), which
+    would leave a spurious J_v cos(v*pi) term in the series Y_v; at
+    v = -n - 1/2 and small tau that term dominates.
+    """
     n_round = round(v)
     delta = v - n_round
     sgn = dt(-1.0 if n_round % 2 != 0 else 1.0)
+    if abs(delta) == 0.5:
+        return sgn * dt(0.0), sgn * dt(math.copysign(1.0, delta))
     return sgn * np.cos(dt(_PI) * dt(delta)), sgn * np.sin(dt(_PI) * dt(delta))
 
 

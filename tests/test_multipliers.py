@@ -119,6 +119,19 @@ def test_phi_matches_oracle_small_sample():
             assert abs(g - v.real) <= 1e-9 + 1e-7 * abs(v.real), (prof.kind, mu, s, t, xi)
 
 
+def test_negative_half_integer_orders_match_oracle():
+    # mu = 6 has orders -2.5 and -3.5, whose small-argument Y values come
+    # from the series branch with cos(nu pi) = 0
+    xi = np.geomspace(1e-7, 0.1, 7)
+    got = mp.phi_values_grid(6.0, CONST, 0.0, 10.0, xi)
+    oracle = mp.oracle_matrix_batch(6.0, xi * float(CONST.Lambda_at(0.0)),
+                                    xi * float(CONST.Lambda_at(10.0)),
+                                    xi * float(CONST.lambda_at(0.0)),
+                                    xi * float(CONST.lambda_at(10.0)), rtol=1e-12)
+    for g, o in zip(got, oracle):
+        assert np.all(np.abs(g - o) <= 1e-9 * np.abs(o))
+
+
 def test_time_derivative_consistency():
     h = 1e-5
     for mu, xi in ((2.5, 0.7), (4.0, 2.0)):

@@ -64,7 +64,8 @@ def test_too_coarse_rule_raises():
 
 @pytest.mark.parametrize("Lam, xi_max", [(5.0, 8.0), (1.0e3, 8.0), (1.0, 0.5), (1.0e-3, 8.0)])
 def test_rule_nodes_and_nested_weights(Lam, xi_max):
-    xi, (fine, coarse) = radial._rule(Lam, 1, xi_max, 12, 60)
+    xi, zones = radial._nodes(Lam, xi_max, 12, 60)
+    fine, coarse = radial._weights(xi, zones, 1)
     # one strictly increasing node set; the coarse rule lives on its even nodes
     assert np.all(np.diff(xi) > 0.0) and xi[-1] == xi_max
     assert np.all(coarse[1::2] == 0.0) and np.all(coarse[::2] > 0.0)

@@ -422,3 +422,113 @@ def test_run_evaluates_two_node_sets_per_step(bessel_points, monkeypatch):
     # its midpoint once; every time shrinks the extended prefix at most once
     assert steps[0] > 2
     assert 0 < bessel_points[0] <= (2 * steps[0] + 2) * len(np.unique(cfg.grid.xi))
+
+
+def gradient_norm_sq_reference(grid, uh):
+    """sum |grad v|^2 h^n with one inverse transform per axis (the former route)."""
+    total = 0.0
+    for k in grid.wavenumbers:
+        total += np.sum(np.abs(grid.ifft(1j * k * uh)) ** 2) * grid.cell_volume
+    return total
+
+
+@pytest.mark.parametrize("n, N", [(1, 64), (2, 32), (3, 16)])
+def test_parseval_norms_match_physical_sums(n, N):
+    grid = sv.Grid(n=n, N=N, L=3.0)
+    rng = np.random.default_rng(n)
+    u, ut = rng.standard_normal((2,) + grid.shape)
+    uh = grid.fft(u)
+    ref = gradient_norm_sq_reference(grid, uh)
+    assert sv._weighted_sq(grid.grad_weight, uh) == pytest.approx(ref, rel=1e-14)
+    ref = np.sum(ut**2) * grid.cell_volume
+    assert sv._weighted_sq(grid.l2_weight, grid.fft(ut)) == pytest.approx(ref, rel=1e-14)
+    ns = sv.norms(sv.FieldState(u=u, ut=ut, t=0.0), CONST, 2.0, grid)
+    assert ns.h1_semi**2 == pytest.approx(gradient_norm_sq_reference(grid, uh), rel=1e-14)
+
+
+def test_state_keeps_one_representation_of_each_field():
+    grid = grid1d(N=64)
+    u = np.sin(grid.axis)
+    with pytest.raises(ValueError):
+        sv.FieldState(u=u, uh=grid.fft(u), ut=u, t=0.0)
+    with pytest.raises(ValueError):
+        sv.FieldState(u=u, t=0.0)
+    with pytest.raises(ValueError, match="needs its grid"):
+        sv.FieldState(uh=grid.fft(u), ut=u, t=0.0)
+    st = sv.FieldState(uh=grid.fft(u), uth=grid.fft(2.0 * u), t=0.0, grid=grid)
+    assert st.u is st.u and np.allclose(st.u, u, atol=1e-15)
+    assert np.allclose(st.ut, 2.0 * u, atol=1e-15)
+
+
+@pytest.fixture
+def transforms(monkeypatch):
+    """Count every Grid.fft and Grid.ifft call."""
+    count = [0]
+    for name in ("fft", "ifft"):
+        fn = getattr(sv.Grid, name)
+
+        def counted(self, arr, fn=fn):
+            count[0] += 1
+            return fn(self, arr)
+
+        monkeypatch.setattr(sv.Grid, name, counted)
+    return count
+
+
+def test_step_and_norm_transform_counts(transforms):
+    grid = sv.Grid(n=3, N=16, L=6.0)
+    u0, u1 = sv.make_initial_data(grid, "gaussian", amplitude=0.1, width=1.0)
+    nl = sv.NonlinearitySpec(form="signed_power", p=2.0)
+    st = sv.duhamel_step(sv.FieldState(u=u0, ut=u1, t=0.0), CONST, 4.0, grid, nl, 0.05)
+    st.u
+    for step, args, expected in ((sv.duhamel_step, (nl, 0.05), 3), (sv.linear_step, (0.05,), 1)):
+        transforms[0] = 0
+        # a step, then the blow-up check's read of u
+        st = step(st, CONST, 4.0, grid, *args)
+        st.u
+        assert transforms[0] == expected
+        assert sv._blowup(st, grid, 1e6) is None and transforms[0] == expected
+        sv.norms(st, CONST, 4.0, grid, m_list=(1.0, 3.0))
+        assert transforms[0] == expected
+
+
+LINEAR_RUN = {"profile": {"kind": "constant"}, "mu": 3.0,
+              "grid": {"n": 1, "N": 512}, "T": 6.0,
+              "data": {"kind": "gaussian", "amplitude": 0.2, "width": 1.0}}
+
+
+def test_linear_run_jumps_once_per_output_interval(monkeypatch):
+    steps = []
+    duhamel_step = sv.duhamel_step
+
+    def counted(*args, **kwargs):
+        steps.append(args[5])
+        return duhamel_step(*args, **kwargs)
+
+    monkeypatch.setattr(sv, "duhamel_step", counted)
+    cfg = validate_config(LINEAR_RUN)
+    series, _ = sv.simulate(cfg)
+    times = sv.output_times(cfg.T, cfg.samples_per_decade)
+    assert len(steps) == len(times) - 1
+    assert np.array_equal(series.times, times)
+
+
+def test_linear_jumps_match_composed_small_steps():
+    from dampwave.multipliers import NodeStore
+
+    cfg = validate_config(LINEAR_RUN)
+    series, _ = sv.simulate(cfg)
+    grid = cfg.grid
+    u0, u1 = sv.make_initial_data(grid, "gaussian", 0.2, 1.0)
+    st = sv.FieldState(u=u0, ut=u1, t=0.0)
+    store = NodeStore(cfg.damping.mu, CONST, grid.xi)
+    rows = []
+    for t_out in series.times:
+        while st.t < t_out:
+            dt = min(cfg.dt_max, 0.25 * grid.h, t_out - st.t)
+            st = sv.linear_step(st, CONST, cfg.damping.mu, grid, dt, store=store)
+        ns = sv.norms(st, CONST, cfg.damping.mu, grid)
+        rows.append((ns.lm[1.0], ns.l2, ns.h1_semi, ns.energy, ns.linf))
+    for name, ref in zip(("L1", "L2", "H1_seminorm", "energy", "Linf"), np.transpose(rows)):
+        got = series.tracks[name]
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name

@@ -65,6 +65,18 @@ def test_y_half_integer_closed_forms():
             math.sqrt(2.0 / (math.pi * tau)) * math.sin(tau), abs=1e-12, rel=1e-12)
 
 
+def test_y_negative_half_integer_orders_match_j():
+    # DLMF 10.2.3 with cos(nu pi) = 0: Y_{-n-1/2} = (-1)^n J_{n+1/2}; the
+    # series branch divides by sin(nu pi) and must not keep a J cos(nu pi) term
+    x = np.geomspace(1e-6, 30.0, 61)
+    for n in range(4):
+        for jy, dtype, rel in ((specfun._jy, np.float64, 1e-13),
+                               (specfun.jy_extended, LD, 1e-16)):
+            y = jy(-n - 0.5, x.astype(dtype))[1]
+            ref = (-1) ** n * jy(n + 0.5, x.astype(dtype))[0]
+            assert np.all(np.abs(y - ref) <= rel * np.abs(ref)), (n, dtype)
+
+
 def test_j_matches_series_oracle():
     for nu in [0.0, 0.3, 1.0, 2.0, -1.3, 4.7, 9.5, -9.5]:
         for tau in [1e-6, 1e-3, 0.1, 1.0, 4.0, 9.0]:
