@@ -250,6 +250,9 @@ class NonlinearitySpec:
         # overflow here is a legitimate blow-up signal, flagged downstream
         with np.errstate(over="ignore", invalid="ignore"):
             au = np.abs(u)
+            if self.p == 2.0:
+                # pow(x, 1) = x and pow(x, 2) = x*x exactly: same values, no pow
+                return au * (u if self.form == "signed_power" else au)
             if self.form == "signed_power":
                 return au ** (self.p - 1.0) * u
             return au**self.p

@@ -492,6 +492,17 @@ def test_step_and_norm_transform_counts(transforms):
         assert transforms[0] == expected
 
 
+def test_square_nonlinearity_matches_power_form():
+    # p = 2 skips np.power; pow(x, 1) = x and pow(x, 2) = x*x, so the bits agree
+    u = np.random.default_rng(5).standard_normal(4096) * np.logspace(-200.0, 200.0, 4096)
+    u[:3] = (np.inf, -np.inf, np.nan)
+    au = np.abs(u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        refs = {"signed_power": au**1.0 * u, "absolute_power": au**2.0}
+    for form, ref in refs.items():
+        np.testing.assert_array_equal(sv.NonlinearitySpec(form=form, p=2.0).g(u), ref)
+
+
 LINEAR_RUN = {"profile": {"kind": "constant"}, "mu": 3.0,
               "grid": {"n": 1, "N": 512}, "T": 6.0,
               "data": {"kind": "gaussian", "amplitude": 0.2, "width": 1.0}}

@@ -4,7 +4,11 @@ Oracles used here (never the implementation under test):
 * closed forms for half-integer orders,
 * a fresh 60-term ascending power series accumulated in extended precision,
 * the leading Hankel asymptotic term,
-* recurrence-based derivative identities (Wronskian, Bessel ODE).
+* recurrence-based derivative identities (Wronskian, Bessel ODE),
+* 40-digit mpmath values, when mpmath is installed.
+
+The per-point term counts are checked against the module's own sums run to
+a fixed number of terms.
 """
 
 import math
@@ -205,14 +209,19 @@ def test_domain_errors():
 
 
 def test_vectorized_matches_scalar():
-    # a value must not depend on the other points of its batch
-    taus = np.array([0.01, 1.0, 6.9, 7.0, 7.1, 12.5, 15.9, 15.999, 16.1, 300.0])
-    for nu in [0.0, -1.5, 2.3, 0.3, -7.7, 10.0]:
-        vec = specfun._jy(nu, taus)
-        for part in vec:
-            assert part.shape == taus.shape
-        for i, t in enumerate(taus):
-            assert specfun._jy(nu, float(t)) == tuple(float(part[i]) for part in vec)
+    # a value must not depend on the other points of its batch or their order
+    taus = np.array([0.01, 1.0, 6.9, 7.0, 7.1, 12.5, 15.9, 15.999, 16.1, 300.0,
+                     1e-5, 3.3, 40.0, 9.0e3])
+    shuffled = np.random.default_rng(3).permutation(taus)
+    for jy in (specfun._jy, specfun.jy_extended):
+        for nu in [0.0, -1.5, 2.3, 0.3, -7.7, 10.0, -4.0]:
+            for batch in (taus, shuffled):
+                vec = jy(nu, batch)
+                for part in vec:
+                    assert part.shape == batch.shape
+                for i, t in enumerate(batch):
+                    scalar = jy(nu, float(t))
+                    assert all(part[i] == s for part, s in zip(vec, scalar)), (jy, nu, t)
 
 
 STEED_ORDERS = [0.0, 0.3, -0.3, 1.0, -1.0, 1.5, -1.5, 2.5, -2.5, 7.7, -7.7, 10.0, -11.0]
@@ -227,6 +236,88 @@ def test_steed_branch_matches_extended_series():
         for g, r in zip(got, ref):
             r = r.astype(float)
             assert np.all(np.abs(g - r) <= 1e-13 * np.maximum(1.0, np.abs(r))), nu
+
+
+def series_cases():
+    """(a, digamma) for the term sequences the series branch runs at STEED_ORDERS."""
+    cases = set()
+    for nu in STEED_ORDERS:
+        if nu == round(nu):
+            cases.add((max(nu, 1.0 - nu), True))
+        else:
+            cases.update({(nu, False), (1.0 - nu, False)})
+    return sorted(cases)
+
+
+def largest_series_terms(a, z, digamma, terms=60):
+    """Per point, the largest magnitude among the terms of each sum of
+    specfun._term_sums with t0 = 1."""
+    t = np.ones_like(z)
+    h_k, h_a = 0.0, sum(1.0 / j for j in range(1, int(a) + 1)) if digamma else 0.0
+    h_am1 = h_a - 1.0 / a if digamma else 0.0
+    g2 = 2.0 * 0.5772156649015329
+    big = [np.abs(t), np.abs(a * t), np.abs((h_a - g2) * t), np.abs((h_am1 - g2) * a * t)]
+    for k in range(1, terms):
+        t = t * (-z) / (k * (k + a))
+        h_k, h_am1, h_a = h_k + 1.0 / k, h_a, h_a + 1.0 / (k + a)
+        for i, term in enumerate((t, (k + a) * t, (h_k + h_a - g2) * t,
+                                  (h_k + h_am1 - g2) * (k + a) * t)):
+            big[i] = np.maximum(big[i], np.abs(term))
+    return big if digamma else big[:2]
+
+
+def test_series_term_counts_are_conservative(monkeypatch):
+    # each point sums only the terms its own argument needs; what it leaves
+    # out must stay below 1e-20 of the largest term, against a fixed 60-term sum
+    x = np.linspace(0.0, 16.0, 641)[1:-1]
+    z64 = (x / 2.0) ** 2
+    cases = series_cases()
+    for a, _ in cases:
+        assert specfun._series_table(a)[-1] > z64[-1], a  # the table covers x < 16
+    for dtype in (np.float64, LD):
+        z = (x.astype(dtype) / dtype(2.0)) ** 2
+        got = [specfun._term_sums(dtype(a), z, np.ones_like(z), dig) for a, dig in cases]
+        with monkeypatch.context() as m:
+            m.setattr(specfun, "_series_table", lambda a: np.zeros(60))
+            ref = [specfun._term_sums(dtype(a), z, np.ones_like(z), dig) for a, dig in cases]
+        for (a, dig), g, r in zip(cases, got, ref):
+            for gs, rs, big in zip(g, r, largest_series_terms(a, z64, dig)):
+                assert np.all(np.abs(gs - rs) <= 1e-20 * big), (a, dtype)
+
+
+def test_asymptotic_term_counts_are_conservative(monkeypatch):
+    # the same for the Hankel expansion against 25 terms; its largest term is 1
+    tau = np.geomspace(16.0, 1.0e4, 400)
+    reduced = sorted({abs(v) % 1.0 + s for nu in STEED_ORDERS for v in (nu, nu - 1.0)
+                      for s in (0.0, 1.0)})
+    for dtype in (np.float64, LD):
+        arg = tau.astype(dtype)
+        got = [specfun._hankel_asym_pq(nu, arg) for nu in reduced]
+        with monkeypatch.context() as m:
+            m.setattr(specfun, "_asym_table", lambda nu: np.full(25, np.inf))
+            ref = [specfun._hankel_asym_pq(nu, arg) for nu in reduced]
+        for nu, g, r in zip(reduced, got, ref):
+            for gs, rs in zip(g, r):
+                assert np.all(np.abs(gs - rs) <= 1e-20), (nu, dtype)
+
+
+def test_extended_series_matches_mpmath():
+    # the four parts in longdouble, each against a 40-digit reference at the
+    # exact orders nu and nu - 1
+    mpmath = pytest.importorskip("mpmath")
+    x = np.geomspace(1e-6, 0.99, 15)
+    with mpmath.workdps(40):
+        for nu in (1.5, -1.5, 2.5, -2.5, 0.3, -1.3, 2.7):
+            got = specfun.jy_extended(nu, x)
+            order = mpmath.mpf(nu)
+            refs = ((mpmath.besselj, order), (mpmath.bessely, order),
+                    (mpmath.besselj, order - 1), (mpmath.bessely, order - 1))
+            for part, (fn, v) in zip(got, refs):
+                for value, xi in zip(part, x):
+                    hi = float(value)  # a longdouble is hi + lo exactly
+                    ref = fn(v, mpmath.mpf(float(xi)))
+                    err = mpmath.mpf(hi) + mpmath.mpf(float(value - LD(hi))) - ref
+                    assert abs(err) <= 5e-17 * abs(ref), (nu, xi)
 
 
 def half_integer_jy_ld(x):
