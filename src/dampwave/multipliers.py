@@ -100,7 +100,8 @@ class _Node:
     """Bessel values on sigma = Lambda(t)|xi| at one time t, for sorted |xi| > 0.
 
     J and Y at orders rho and rho - 1 are kept in float64 on a suffix of the
-    arguments and in longdouble on a prefix; each part grows when a pair of
+    arguments and in longdouble on a prefix; a store with a schedule sets
+    both for a batch of nodes at once, and each part grows when a pair of
     times asks for more of it.
     """
 
@@ -133,19 +134,44 @@ class _Node:
         return [v[:hi] for v in self.ext]
 
 
+# Bessel points (distinct nonzero |xi| times nodes) that a NodeStore with a
+# schedule evaluates in one float64 and one extended call
+BATCH_POINTS = 2**15
+
+
+def _batched(fn, rho, parts):
+    """fn(rho, .)'s four arrays over the concatenated parts, split per part:
+    one tuple of four per part, or None (and no call) when all are empty."""
+    if not sum(p.size for p in parts):
+        return None
+    flat = np.concatenate(parts)
+    cuts = np.cumsum([p.size for p in parts[:-1]])
+    return zip(*(np.split(v, cuts) for v in fn(rho, flat)))
+
+
 class NodeStore:
     """Bessel values per time node for one (mu, profile, xi).
 
     Holds the distinct values of xi, sorted, with the inverse that gathers
-    them back to xi's shape, and the Bessel values at the last MAX_NODES
-    times it was asked for.  A caller stepping through time passes one
-    store to every phi_values_grid call, so a time shared by consecutive
-    pairs (s, t) is evaluated once.
+    them back to xi's shape, and the Bessel values at recent times.  A
+    caller stepping through time passes one store to every phi_values_grid
+    call, so a time shared by consecutive pairs (s, t) is evaluated once.
+
+    Without a schedule the store evaluates each time on its own and keeps
+    the last MAX_NODES of them.  ``schedule`` is an iterable of increasing
+    times, the order in which the caller will ask for nodes; it is read
+    lazily, never ahead of the batch in hand.  When the store misses on the
+    next scheduled time, it evaluates that time and the scheduled times
+    after it, up to BATCH_POINTS Bessel points, in one float64 and one
+    extended call, and then holds that batch and the node before it.  Each
+    node gets the values its pairs with both neighbours read.  A time off
+    the schedule or asked out of order gets a node of its own, which
+    replaces the oldest node held once MAX_NODES are held.
     """
 
     MAX_NODES = 3
 
-    def __init__(self, mu, profile, xi):
+    def __init__(self, mu, profile, xi, *, schedule=None):
         self.rho = _check_orders(mu)
         self.mu = mu
         self.profile = profile
@@ -160,13 +186,74 @@ class NodeStore:
         self.n_zero = int(self.values.size > 0 and self.values[0] == 0.0)
         self.nonzero = self.values[self.n_zero:]
         self.nodes = {}  # t -> _Node, oldest first
+        self.schedule = None if schedule is None else iter(schedule)
+        self.batch_nodes = max(1, BATCH_POINTS // max(1, self.nonzero.size))
+        self._held = []  # a schedule time read past the time asked for
+        self._last = None  # the last schedule time taken
 
     def node(self, t):
         if t not in self.nodes:
-            if len(self.nodes) == self.MAX_NODES:
-                del self.nodes[next(iter(self.nodes))]
-            self.nodes[t] = _Node(self, t)
+            times = self._batch_times(t)
+            if times:
+                self._evaluate(times)
+            else:
+                if len(self.nodes) >= self.MAX_NODES:
+                    del self.nodes[next(iter(self.nodes))]
+                self.nodes[t] = _Node(self, t)
         return self.nodes[t]
+
+    def _read(self):
+        return self._held.pop() if self._held else next(self.schedule, None)
+
+    def _batch_times(self, t):
+        """t and the scheduled times after it, up to batch_nodes, when t is
+        the next scheduled time; [] otherwise."""
+        if self.schedule is None:
+            return []
+        head = self._read()
+        while head is not None and head < t:
+            self._last, head = head, self._read()
+        if head != t:
+            if head is not None:
+                self._held.append(head)
+            return []
+        times = [t]
+        while len(times) < self.batch_nodes and (head := self._read()) is not None:
+            if head > times[-1]:  # a repeated time is the same node
+                times.append(head)
+        return times
+
+    def _evaluate(self, times):
+        """Nodes at ``times`` with the values of their pairs, in one call per
+        precision.
+
+        Pair (s, t) reads longdouble values below s's n_ext and float64
+        values from there on, at both nodes, so a node between two pairs
+        needs longdouble values below the larger n_ext of itself and the
+        node before it, and float64 values from the smaller one on.  A node
+        whose phases the pairs reject (above TAU_MAX or not finite) gets no
+        values here, so the pair that reads it raises as without a schedule.
+        """
+        before = self.nodes.get(self._last)
+        self.nodes = {} if before is None else {self._last: before}
+        nodes = [_Node(self, t) for t in times]
+        self.nodes.update(zip(times, nodes))
+        self._last = times[-1]
+        n_ext = nodes[0].n_ext if before is None else before.n_ext
+        ready, ranges = [], []
+        for nd in nodes:
+            if nd.args.size and not nd.args[-1] <= TAU_MAX:
+                break
+            ready.append(nd)
+            ranges.append(sorted((n_ext, nd.n_ext)))
+            n_ext = nd.n_ext
+        double = _batched(_jy, self.rho, [nd.args[lo:] for nd, (lo, _) in zip(ready, ranges)])
+        ext = _batched(jy_extended, self.rho, [nd.args[:hi] for nd, (_, hi) in zip(ready, ranges)])
+        for nd, (lo, hi) in zip(ready, ranges):
+            if double is not None:
+                nd.lo, nd.double = lo, list(next(double))
+            if ext is not None:
+                nd.hi, nd.ext = hi, list(next(ext))
 
 
 def phi_values_grid(mu, profile, s, t, xi, *, store=None):

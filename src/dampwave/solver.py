@@ -23,10 +23,13 @@ needs no transform.
 The multipliers of a pair (s, t) are cross products of Bessel values at
 Lambda(s)|xi| and Lambda(t)|xi|.  ``simulate`` keeps them per time node in
 one multipliers.NodeStore for the run: a step's midpoint serves both of its
-half steps, and its end is the next step's start, so each step evaluates
-two new node sets (tm and t1) instead of four.  The store also sorts the
-grid's |xi| once per run.  With a zero nonlinearity the propagator is exact
-over any interval, so ``simulate`` takes one step per output interval.
+half steps, and its end is the next step's start, so each step needs two
+new node sets (tm and t1) instead of four.  The step times do not depend on
+the solution, so the store is given them in advance (``_step_plan``, read
+lazily by both the loop and the store) and evaluates the nodes of many
+steps in one Bessel call per precision.  The store also sorts the grid's
+|xi| once per run.  With a zero nonlinearity the propagator is exact over
+any interval, so ``simulate`` takes one step per output interval.
 Blow-up (a non-finite value or max|u| above the threshold) is checked after
 every step and dated by that step; in a linear run that is the output time
 ending the step.
@@ -40,6 +43,7 @@ output time.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -400,8 +404,7 @@ def duhamel_step(state, profile, mu, grid, nonlin, dt, *, store=None):
     if nonlin is None or nonlin.form == "zero":
         return linear_step(state, profile, mu, grid, dt, store=store)
     t0 = state.t
-    tm = t0 + 0.5 * dt
-    t1 = t0 + dt
+    tm, t1 = _step_times(t0, dt)
     uh, uth = state.spectra(grid)
     # exact half step, nonlinearity sampled at the midpoint
     mh, mth = _propagate_spectra(mu, profile, t0, tm, grid, uh, uth, store)
@@ -413,6 +416,42 @@ def duhamel_step(state, profile, mu, grid, nonlin, dt, *, store=None):
     # carries it: M(t1, tm) (mh, mth + dt fh)
     vh, vth = _propagate_spectra(mu, profile, tm, t1, grid, mh, mth + dt * fh, store)
     return FieldState(uh=vh, uth=vth, t=t1, grid=grid)
+
+
+def _step_times(t0, dt):
+    """Midpoint and end of a Duhamel step from t0."""
+    return t0 + 0.5 * dt, t0 + dt
+
+
+def _step_plan(config, times):
+    """(t_out, dt) of every step ``simulate`` takes to the output times.
+
+    A nonlinear run steps dt = min(dt_max, 0.25 h / lambda(t), t_out - t);
+    the linear propagator is exact over any dt, so a linear run takes one
+    step per output interval.  Neither depends on the solution.
+    """
+    t = times[0]
+    for t_out in times[1:]:
+        while t < t_out:
+            dt = t_out - t
+            if config.nonlin.form != "zero":
+                lam = float(config.profile.lambda_at(t))
+                dt = min(config.dt_max, 0.25 * config.grid.h / lam, dt)
+            yield t_out, dt
+            t = t + dt
+
+
+def _node_times(plan, nonlinear):
+    """The times at which the steps of ``plan`` ask for multipliers, in
+    order: the first start, then each step's midpoint (nonlinear steps
+    only) and end."""
+    t = 0.0
+    yield t
+    for _, dt in plan:
+        tm, t = _step_times(t, dt)
+        if nonlinear:
+            yield tm
+        yield t
 
 
 def cone_excess(state, grid, profile, r0, pad=0.0):
@@ -521,23 +560,23 @@ def simulate(config):
         rows.append(row)
 
     record(state)
-    store = multipliers.NodeStore(mu, profile, grid.xi)
+    # the step times are known in advance: the store reads them from the
+    # same plan the loop runs, to evaluate many time nodes per Bessel call
+    steps, ahead = itertools.tee(_step_plan(config, times))
+    store = multipliers.NodeStore(mu, profile, grid.xi,
+                                  schedule=_node_times(ahead, nonlin.form != "zero"))
     threshold = config.blowup_factor * peak0
-    for t_out in times[1:]:
-        while state.t < t_out and blowup is None:
-            dt = t_out - state.t
-            if nonlin.form != "zero":  # the linear propagator is exact over any dt
-                lam_now = float(profile.lambda_at(state.t))
-                dt = min(config.dt_max, 0.25 * grid.h / lam_now, dt)
-            state = duhamel_step(state, profile, mu, grid, nonlin, dt, store=store)
-            blowup = _blowup(state, grid, threshold)
+    for t_out, dt in steps:
+        state = duhamel_step(state, profile, mu, grid, nonlin, dt, store=store)
+        blowup = _blowup(state, grid, threshold)
         if blowup is not None:
             t_star = blowup.t_star
             rows.append({"t": t_star, "Lambda_t": float(profile.Lambda_at(t_star)),
                          "L1": math.nan, "L2": math.nan, "H1_seminorm": math.nan,
                          "energy": math.nan, "Linf": math.nan, "blowup_flag": 1.0})
             break
-        record(state)
+        if state.t >= t_out:
+            record(state)
 
     track_names = sorted({k for row in rows for k in row} - {"t", "Lambda_t"})
     tracks = {}

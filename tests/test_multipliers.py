@@ -1,5 +1,6 @@
 """Multiplier-module tests: closed forms, ODE oracle, zones, certification."""
 
+import itertools
 import math
 
 import numpy as np
@@ -304,6 +305,63 @@ def test_store_matches_reference_across_pairs(mu, prof):
         for g, r in zip(got, _undeduplicated(mu, prof, s, t, xi)):
             assert np.array_equal(g, r)
         assert len(store.nodes) <= mp.NodeStore.MAX_NODES
+
+
+@pytest.mark.parametrize("mu, prof", [(4.0, CONST), (3.0, POLY)])
+def test_scheduled_store_off_schedule_and_out_of_order(mu, prof):
+    xi = np.concatenate([[0.0], np.geomspace(0.05, 20.0, 300), [0.5, 0.5, 0.0]])
+    store = mp.NodeStore(mu, prof, xi, schedule=[0.0, 0.3, 0.6, 0.9, 1.5, 3.0, 3.5])
+    # a pair on the schedule, a time off it (0.45), one asked before a time
+    # it follows (0.6 after 0.9), a pair the schedule skips, then in order
+    pairs = [(0.0, 0.3), (0.3, 0.45), (0.9, 1.5), (0.6, 0.9), (0.0, 3.5),
+             (1.5, 3.0), (3.0, 3.5)]
+    for s, t in pairs:
+        got = mp.phi_values_grid(mu, prof, s, t, xi, store=store)
+        for g, r in zip(got, mp.phi_values_grid(mu, prof, s, t, xi)):
+            assert np.array_equal(g, r)
+
+
+def test_scheduled_store_reads_one_batch_of_an_endless_schedule(bessel_points):
+    xi = np.geomspace(0.01, 50.0, 5000)
+    drawn = [0]
+
+    def endless():
+        for i in itertools.count():
+            drawn[0] += 1
+            # fail rather than hang if the store reads the schedule to its end
+            assert drawn[0] <= 1000, "the schedule was read far past one batch"
+            yield 0.01 * i
+
+    store = mp.NodeStore(4.0, CONST, xi, schedule=endless())
+    assert 1 < store.batch_nodes < 100 and drawn[0] == 0
+    got = mp.phi_values_grid(4.0, CONST, 0.0, 0.01, xi, store=store)
+    assert bessel_points[1] <= 2 and drawn[0] == store.batch_nodes
+    assert len(store.nodes) <= store.batch_nodes + 1
+    for g, r in zip(got, mp.phi_values_grid(4.0, CONST, 0.0, 0.01, xi)):
+        assert np.array_equal(g, r)
+    # the next batch starts where the first ended and keeps the node before it
+    t_end = 0.01 * (store.batch_nodes - 1)
+    bessel_points[1] = 0
+    mp.phi_values_grid(4.0, CONST, t_end, 0.01 * store.batch_nodes, xi, store=store)
+    assert bessel_points[1] <= 2 and drawn[0] == 2 * store.batch_nodes
+    assert len(store.nodes) <= store.batch_nodes + 1 and t_end in store.nodes
+    # a time off the schedule gets a node of its own and leaves the next
+    # scheduled time to start the next batch
+    t_end, t_next = 0.01 * (2 * store.batch_nodes - 1), 0.01 * (2 * store.batch_nodes)
+    mp.phi_values_grid(4.0, CONST, t_end, t_next - 0.005, xi, store=store)
+    bessel_points[1] = 0
+    mp.phi_values_grid(4.0, CONST, t_end, t_next, xi, store=store)
+    assert bessel_points[1] <= 2 and drawn[0] == 3 * store.batch_nodes
+
+
+def test_scheduled_store_leaves_rejected_phases_to_the_pair():
+    # the last node's phases overflow to inf: only the pair that reads it raises
+    xi = np.array([0.5, 1.0, 2.0])
+    store = mp.NodeStore(4.0, CONST, xi, schedule=[0.0, 1.0, 1e308])
+    with np.errstate(over="ignore"):
+        mp.phi_values_grid(4.0, CONST, 0.0, 1.0, xi, store=store)
+        with pytest.raises(DomainError, match="TAU_MAX"):
+            mp.phi_values_grid(4.0, CONST, 1.0, 1e308, xi, store=store)
 
 
 def test_store_for_other_inputs_is_rejected():

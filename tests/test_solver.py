@@ -321,23 +321,6 @@ def test_weighted_norms_closed_form_and_flag():
     assert math.isfinite(ns.weighted_l2)
 
 
-@pytest.fixture
-def bessel_points(monkeypatch):
-    """Count the argument points of every Bessel evaluation in multipliers."""
-    from dampwave import multipliers
-
-    count = [0]
-    for name in ("_jy", "jy_extended"):
-        fn = getattr(multipliers, name)
-
-        def counted(nu, tau, fn=fn):
-            count[0] += np.size(tau)
-            return fn(nu, tau)
-
-        monkeypatch.setattr(multipliers, name, counted)
-    return count
-
-
 def test_duhamel_step_evaluates_distinct_modes_once(bessel_points):
     grid = sv.Grid(n=3, N=32, L=10.0)
     u0, _ = sv.make_initial_data(grid, "gaussian", amplitude=0.1, width=1.0, seed=0)
@@ -422,6 +405,69 @@ def test_run_evaluates_two_node_sets_per_step(bessel_points, monkeypatch):
     # its midpoint once; every time shrinks the extended prefix at most once
     assert steps[0] > 2
     assert 0 < bessel_points[0] <= (2 * steps[0] + 2) * len(np.unique(cfg.grid.xi))
+
+
+def _without_schedule(monkeypatch):
+    """Make simulate's node store ignore its schedule, as before batching."""
+    from dampwave import multipliers
+
+    store = multipliers.NodeStore
+    monkeypatch.setattr(multipliers, "NodeStore",
+                        lambda mu, profile, xi, *, schedule=None: store(mu, profile, xi))
+
+
+SEMILINEAR_3D = {"profile": {"kind": "constant"}, "mu": 4.0, "grid": {"n": 3, "N": 32},
+                 "nonlinearity": {"form": "signed_power", "p": 2.0},
+                 "data": {"kind": "gaussian", "amplitude": 0.1, "width": 1.0}, "T": 0.5}
+POLY_2D = {"profile": {"kind": "polynomial", "q": 0.5}, "mu": 3.0, "grid": {"n": 2, "N": 64},
+           "nonlinearity": {"form": "signed_power", "p": 3.0},
+           "data": {"kind": "gaussian", "amplitude": 0.2, "width": 1.0}, "T": 3.0}
+
+
+@pytest.mark.parametrize("raw", [SEMILINEAR_3D, POLY_2D, BLOWUP_RUN],
+                         ids=["constant", "polynomial", "blowup"])
+def test_scheduled_run_is_bitwise_unscheduled(raw, monkeypatch):
+    cfg = validate_config(raw)
+    runs = [sv.simulate(cfg)]
+    _without_schedule(monkeypatch)
+    runs.append(sv.simulate(cfg))
+    (got, got_final), (ref, ref_final) = runs
+    assert np.array_equal(got.times, ref.times)
+    assert got.tracks.keys() == ref.tracks.keys()
+    for name, track in got.tracks.items():
+        assert np.array_equal(track, ref.tracks[name], equal_nan=True), name
+    if isinstance(ref_final, sv.BlowupRecord):
+        assert got_final == ref_final
+    else:
+        assert np.array_equal(got_final.u, ref_final.u)
+        assert np.array_equal(got_final.ut, ref_final.ut)
+
+
+@pytest.mark.parametrize("raw", [SEMILINEAR_3D, POLY_2D], ids=["one_batch", "batches"])
+def test_scheduled_run_batches_bessel_calls(raw, bessel_points, monkeypatch):
+    from dampwave import multipliers
+
+    steps = [0]
+    duhamel_step = sv.duhamel_step
+
+    def counted(*args, **kwargs):
+        steps[0] += 1
+        return duhamel_step(*args, **kwargs)
+
+    monkeypatch.setattr(sv, "duhamel_step", counted)
+    cfg = validate_config(raw)
+    sv.simulate(cfg)
+    points, calls = bessel_points
+    # a start, a midpoint and an end per step, shared with the next step
+    nodes = 2 * steps[0] + 1
+    n_xi = np.count_nonzero(np.unique(cfg.grid.xi))
+    batch_nodes = max(1, multipliers.BATCH_POINTS // n_xi)
+    assert steps[0] > 10 and calls <= 2 * math.ceil(nodes / batch_nodes)
+    # batching evaluates the same points as one node at a time
+    bessel_points[:] = [0, 0]
+    _without_schedule(monkeypatch)
+    sv.simulate(cfg)
+    assert bessel_points[0] == points and bessel_points[1] > calls
 
 
 def gradient_norm_sq_reference(grid, uh):
