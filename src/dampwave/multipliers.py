@@ -23,7 +23,9 @@ where sigma = Lambda(s)|xi|.  The Im-form is used throughout: it is exactly
 real, which is also why all four entries carry zero imaginary part.
 The entries are formed in two stages: J and Y at orders rho and rho - 1 at
 one time node, for the sorted distinct |xi| (NodeStore), then the cross
-products of the nodes at s and t.
+products of the nodes at s and t.  ``phase_factors`` gives the same entries
+in phase form, Im[W e^{i (Lambda(t) - Lambda(s))|xi|}] with W slowly varying
+in |xi|, for quadratures that integrate the phase in closed form.
 
 The module also provides a brute-force per-mode ODE oracle (independent of
 the special functions), the frequency-zone classifier, and an empirical
@@ -124,6 +126,11 @@ class _Node:
             self.double = [np.concatenate(p) for p in zip(new, self.double)]
             self.lo = lo
         return [v[lo - self.lo:] for v in self.double]
+
+    def evaluate(self):
+        """Values on every argument: longdouble below n_ext, float64 above."""
+        self.extended_to(self.n_ext)
+        self.double_from(self.n_ext)
 
     def extended_to(self, hi):
         """Longdouble (J_rho, Y_rho, J_{rho-1}, Y_{rho-1}) on args[:hi]."""
@@ -282,19 +289,33 @@ def phi_values_grid(mu, profile, s, t, xi, *, store=None):
     return tuple(e[store.inverse].reshape(store.shape) for e in entries)
 
 
+def _check_phases(tau):
+    """Reject sorted phases whose largest value exceeds TAU_MAX."""
+    if tau.size and tau[-1] > TAU_MAX:
+        raise DomainError(
+            f"phase Lambda(t)|xi| = {float(tau[-1]):g} exceeds "
+            f"TAU_MAX = {TAU_MAX:g}, beyond which the Hankel route loses accuracy")
+
+
+def _entry_terms(rho, lam_s, Lam_s, lam_t, Lam_t):
+    """(scale, k, a, b) per entry (phi0, phi1, dphi0, dphi1): each entry is
+    scale |xi|^k Im[conj(H+_{rho-a}(sigma)) H+_{rho-b}(tau)], where index a
+    (or b) picks (J_rho, Y_rho) at 0 and (J_{rho-1}, Y_{rho-1}) at 1."""
+    half_pi = float(_PI / 2.0)
+    pref = Lam_t**rho / Lam_s ** (rho - 1.0)
+    return ((-half_pi * pref, 1, 1, 0), (half_pi * pref / lam_s, 0, 0, 0),
+            (-half_pi * lam_t * pref, 2, 1, 1), (half_pi * lam_t / lam_s * pref, 1, 0, 1))
+
+
 def _assemble(store, at_s, at_t):
     """Propagator entries at the store's distinct |xi| from two time nodes."""
-    if at_t.args.size and at_t.args[-1] > TAU_MAX:
-        raise DomainError(
-            f"phase Lambda(t)|xi| = {float(at_t.args[-1]):g} exceeds "
-            f"TAU_MAX = {TAU_MAX:g}, beyond which the Hankel route loses accuracy")
-    rho = store.rho
-    lam_s, Lam_s, lam_t, Lam_t = at_s.lam, at_s.Lam, at_t.lam, at_t.Lam
-    phi0, phi1, dphi0, dphi1 = (np.empty_like(store.values) for _ in range(4))
+    _check_phases(at_t.args)
+    entries = [np.empty_like(store.values) for _ in range(4)]
     z = store.n_zero
     if z:
-        vals = _zero_mode_values(store.mu, lam_s, lam_t, Lam_s, Lam_t)
-        phi0[0], phi1[0], dphi0[0], dphi1[0] = vals
+        vals = _zero_mode_values(store.mu, at_s.lam, at_t.lam, at_s.Lam, at_t.Lam)
+        for e, v in zip(entries, vals):
+            e[0] = v
 
     # sigma = Lambda(s)|xi| < _EXT_SIGMA in extended precision, the rest in
     # float64; orders rho and rho - 1 come from one call per argument set
@@ -305,22 +326,66 @@ def _assemble(store, at_s, at_t):
         parts.append((0, k, at_s.extended_to(k), at_t.extended_to(k)))
     if k < n:
         parts.append((k, n, at_s.double_from(k), at_t.double_from(k)))
-    half_pi = float(_PI / 2.0)
-    pref = Lam_t**rho / Lam_s ** (rho - 1.0)
-    for lo, hi, (js_r, ys_r, js_m, ys_m), (jt_r, yt_r, jt_m, yt_m) in parts:
+    terms = _entry_terms(store.rho, at_s.lam, at_s.Lam, at_t.lam, at_t.Lam)
+    for lo, hi, at_sigma, at_tau in parts:
         xe = store.nonzero[lo:hi]
         out = slice(z + lo, z + hi)
-        # Im[conj(a) b] = Re(a) Im(b) - Im(a) Re(b)
-        psi_1_rm1_p1 = (js_m * yt_r - ys_m * jt_r) * xe
-        psi_0_r_0 = js_r * yt_r - ys_r * jt_r
-        psi_2_rm1_0 = (js_m * yt_m - ys_m * jt_m) * xe**2
-        psi_1_r_m1 = (js_r * yt_m - ys_r * jt_m) * xe
-        phi0[out] = (-half_pi * pref) * psi_1_rm1_p1.astype(float)
-        phi1[out] = (half_pi * pref / lam_s) * psi_0_r_0.astype(float)
-        dphi0[out] = (-half_pi * lam_t * pref) * psi_2_rm1_0.astype(float)
-        dphi1[out] = (half_pi * lam_t / lam_s * pref) * psi_1_r_m1.astype(float)
+        for entry, (scale, power, a, b) in zip(entries, terms):
+            # Im[conj(J + iY) (J' + iY')] = J Y' - Y J'
+            psi = at_sigma[2 * a] * at_tau[2 * b + 1] - at_sigma[2 * a + 1] * at_tau[2 * b]
+            if power:
+                psi = psi * xe**power
+            entry[out] = scale * psi.astype(float)
+    return tuple(entries)
 
-    return phi0, phi1, dphi0, dphi1
+
+def _stripped(jy, x):
+    """H+_rho(x) e^{-ix} and H+_{rho-1}(x) e^{-ix}, complex128, from
+    (J_rho, Y_rho, J_{rho-1}, Y_{rho-1}) at x, formed in x's precision."""
+    turn = np.exp(-1j * x)
+    return [((j + 1j * y) * turn).astype(complex) for j, y in (jy[:2], jy[2:])]
+
+
+def phase_factors(store, s, t, lo=0):
+    """Propagator entries in phase form on the store's nonzero |xi|, from
+    index ``lo`` on.
+
+    Returns complex factors (W0, W1, Wd0, Wd1) with each entry (phi0, phi1,
+    dphi0, dphi1) = Im[W exp(i phi)], phi = (Lambda(t) - Lambda(s))|xi|:
+    W = scale |xi|^k conj(C(sigma)) C(tau) with C(x) = H+(x) e^{-ix}, which
+    carries none of the phase, so W varies slowly in |xi| once tau is past
+    the order.  The store's node at s is kept and serves every t; the tau
+    side is evaluated per call, with the precision split of ``_assemble``
+    (longdouble where sigma < _EXT_SIGMA).  Raises DomainError unless
+    0 <= s <= t, and for a phase beyond TAU_MAX.
+    """
+    if not (0.0 <= s <= t):
+        raise DomainError("need 0 <= s <= t")
+    xe = store.nonzero[lo:]
+    at_s = store.node(s)
+    lam_t = float(store.profile.lambda_at(t))
+    Lam_t = float(store.profile.Lambda_at(t))
+    tau = Lam_t * xe
+    _check_phases(tau)
+    n = store.nonzero.size
+    k = max(lo, at_s.n_ext)
+    parts = []
+    if k > lo:
+        parts.append((lo, k, [v[lo:] for v in at_s.extended_to(k)],
+                      jy_extended(store.rho, tau[:k - lo])))
+    if k < n:
+        parts.append((k, n, at_s.double_from(k), _jy(store.rho, tau[k - lo:])))
+    factors = [np.empty(xe.size, dtype=complex) for _ in range(4)]
+    terms = _entry_terms(store.rho, at_s.lam, at_s.Lam, lam_t, Lam_t)
+    for p_lo, p_hi, at_sigma, at_tau in parts:
+        dt = at_sigma[0].dtype
+        c_sigma = _stripped(at_sigma, at_s.args[p_lo:p_hi].astype(dt))
+        c_tau = _stripped(at_tau, tau[p_lo - lo:p_hi - lo].astype(dt))
+        x = store.nonzero[p_lo:p_hi]
+        out = slice(p_lo - lo, p_hi - lo)
+        for w, (scale, power, a, b) in zip(factors, terms):
+            w[out] = (scale * x**power) * (np.conj(c_sigma[a]) * c_tau[b])
+    return tuple(factors)
 
 
 def phi_values(mu, profile, s, t, xi):

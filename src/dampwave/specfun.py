@@ -208,6 +208,20 @@ def _finite_log_sum(m, pw, z):
     return acc
 
 
+def _power(x, a):
+    """x ** a in x's dtype.  At integer and half-integer a: repeated products
+    and one sqrt, ~20 ns per longdouble point where powl takes ~500 ns (x86-64,
+    80-bit longdouble)."""
+    twice = 2.0 * float(a)
+    if twice != round(twice):
+        return x ** x.dtype.type(a)
+    whole = int(abs(twice)) // 2
+    p = np.sqrt(x) if twice % 2 else np.ones_like(x)
+    for _ in range(whole):
+        p = p * x
+    return p if a >= 0 else x.dtype.type(1.0) / p
+
+
 def _jy_series_typed(nu, x):
     """(J_nu, Y_nu, J_{nu-1}, Y_{nu-1}) by ascending series in x's dtype.
 
@@ -224,7 +238,7 @@ def _jy_series_typed(nu, x):
     if nu != n:
         a = dt(nu)
         b = dt(1.0) - a
-        p = half ** a
+        p = _power(half, a)
         j_a, half_j_lo = _term_sums(a, z, p / dt(_gamma1(a)))
         j_b, half_j_neg = _term_sums(b, z, (half / p) / dt(_gamma1(b)))
         j_lo, j_neg = half_j_lo / half, half_j_neg / half
@@ -232,7 +246,7 @@ def _jy_series_typed(nu, x):
         # cos((nu - 1) pi) = -cos(nu pi), sin((nu - 1) pi) = -sin(nu pi)
         return j_a, (j_a * cospi - j_neg) / sinpi, j_lo, (j_lo * cospi + j_b) / sinpi
     a = n if n >= 1 else 1 - n
-    p = half ** dt(a)
+    p = _power(half, a)
     j_a, half_j_lo, dig_a, half_dig_lo = _term_sums(dt(a), z, p / dt(math.factorial(a)), True)
     j_lo = half_j_lo / half
     two_log = dt(2.0) * np.log(half)

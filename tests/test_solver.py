@@ -334,24 +334,32 @@ def test_duhamel_step_evaluates_distinct_modes_once(bessel_points):
 def test_radial_norm_evaluates_every_node(bessel_points, monkeypatch):
     from dampwave import radial
 
-    nodes = [0]
-    calls = [0]
-    phi_values_grid = radial.phi_values_grid
+    nodes = {"log": 0, "filon": 0}
+    calls = {"log": 0, "filon": 0}
+    phi_values_grid, phase_factors = radial.phi_values_grid, radial.phase_factors
 
     def counted(mu, profile, s, t, xi):
-        calls[0] += 1
-        nodes[0] += np.size(xi)
+        calls["log"] += 1
+        nodes["log"] += np.size(xi)
         return phi_values_grid(mu, profile, s, t, xi)
 
+    def counted_phase(store, s, t, lo=0):
+        calls["filon"] += 1
+        nodes["filon"] += store.nonzero.size - lo
+        return phase_factors(store, s, t, lo)
+
     monkeypatch.setattr(radial, "phi_values_grid", counted)
+    monkeypatch.setattr(radial, "phase_factors", counted_phase)
     radial.linear_norm_radial(4.0, CONST, radial.gaussian_spectrum(1.0, 1.0),
                               radial.gaussian_spectrum(0.7, 1.2), 10.0, rtol=1e-5,
                               pts_per_period=12, log_pts_per_decade=60)
-    # one multiplier evaluation per output time serves both resolutions;
-    # quadrature nodes are distinct: deduplication drops none of them; one
-    # call per node at sigma and one at tau, each returning both orders
-    assert calls[0] == 1
-    assert nodes[0] > 0 and bessel_points[0] == 2 * nodes[0]
+    # one multiplier evaluation per zone serves both resolutions; quadrature
+    # nodes are distinct and the junction of the zones is evaluated once, by
+    # the Filon zone; one Bessel call per node at sigma and one at tau, each
+    # returning both orders
+    assert calls == {"log": 1, "filon": 1}
+    assert nodes["log"] > 0 and nodes["filon"] > 0
+    assert bessel_points[0] == 2 * (nodes["log"] + nodes["filon"])
 
 
 @pytest.mark.parametrize("mu, prof", [(4.0, CONST), (3.0, profiles.polynomial_profile(2.0))])
