@@ -102,9 +102,9 @@ class _Node:
     """Bessel values on sigma = Lambda(t)|xi| at one time t, for sorted |xi| > 0.
 
     J and Y at orders rho and rho - 1 are kept in float64 on a suffix of the
-    arguments and in longdouble on a prefix; a store with a schedule sets
-    both for a batch of nodes at once, and each part grows when a pair of
-    times asks for more of it.
+    arguments and in longdouble on a prefix; NodeStore.prefetch sets both
+    for a batch of nodes at once, and each part grows when a pair of times
+    asks for more of it.
     """
 
     def __init__(self, store, t):
@@ -141,8 +141,8 @@ class _Node:
         return [v[:hi] for v in self.ext]
 
 
-# Bessel points (distinct nonzero |xi| times nodes) that a NodeStore with a
-# schedule evaluates in one float64 and one extended call
+# Bessel points (distinct nonzero |xi| times nodes) that NodeStore.prefetch
+# is given to evaluate in one float64 and one extended call
 BATCH_POINTS = 2**15
 
 
@@ -164,21 +164,16 @@ class NodeStore:
     caller stepping through time passes one store to every phi_values_grid
     call, so a time shared by consecutive pairs (s, t) is evaluated once.
 
-    Without a schedule the store evaluates each time on its own and keeps
-    the last MAX_NODES of them.  ``schedule`` is an iterable of increasing
-    times, the order in which the caller will ask for nodes; it is read
-    lazily, never ahead of the batch in hand.  When the store misses on the
-    next scheduled time, it evaluates that time and the scheduled times
-    after it, up to BATCH_POINTS Bessel points, in one float64 and one
-    extended call, and then holds that batch and the node before it.  Each
-    node gets the values its pairs with both neighbours read.  A time off
-    the schedule or asked out of order gets a node of its own, which
-    replaces the oldest node held once MAX_NODES are held.
+    A time the store does not hold gets a node of its own, which replaces
+    the oldest node held once MAX_NODES are held.  A caller that knows its
+    times in advance hands them to ``prefetch``, which evaluates their nodes
+    together; ``batch_nodes`` is how many new nodes keep such a batch within
+    BATCH_POINTS Bessel points.
     """
 
     MAX_NODES = 3
 
-    def __init__(self, mu, profile, xi, *, schedule=None):
+    def __init__(self, mu, profile, xi):
         self.rho = _check_orders(mu)
         self.mu = mu
         self.profile = profile
@@ -193,62 +188,38 @@ class NodeStore:
         self.n_zero = int(self.values.size > 0 and self.values[0] == 0.0)
         self.nonzero = self.values[self.n_zero:]
         self.nodes = {}  # t -> _Node, oldest first
-        self.schedule = None if schedule is None else iter(schedule)
         self.batch_nodes = max(1, BATCH_POINTS // max(1, self.nonzero.size))
-        self._held = []  # a schedule time read past the time asked for
-        self._last = None  # the last schedule time taken
 
     def node(self, t):
         if t not in self.nodes:
-            times = self._batch_times(t)
-            if times:
-                self._evaluate(times)
-            else:
-                if len(self.nodes) >= self.MAX_NODES:
-                    del self.nodes[next(iter(self.nodes))]
-                self.nodes[t] = _Node(self, t)
+            if len(self.nodes) >= self.MAX_NODES:
+                del self.nodes[next(iter(self.nodes))]
+            self.nodes[t] = _Node(self, t)
         return self.nodes[t]
 
-    def _read(self):
-        return self._held.pop() if self._held else next(self.schedule, None)
+    def prefetch(self, times):
+        """Evaluate the nodes at increasing ``times`` in one call per
+        precision, and then hold only those nodes; one held at times[0] keeps
+        its values.
 
-    def _batch_times(self, t):
-        """t and the scheduled times after it, up to batch_nodes, when t is
-        the next scheduled time; [] otherwise."""
-        if self.schedule is None:
-            return []
-        head = self._read()
-        while head is not None and head < t:
-            self._last, head = head, self._read()
-        if head != t:
-            if head is not None:
-                self._held.append(head)
-            return []
-        times = [t]
-        while len(times) < self.batch_nodes and (head := self._read()) is not None:
-            if head > times[-1]:  # a repeated time is the same node
-                times.append(head)
-        return times
-
-    def _evaluate(self, times):
-        """Nodes at ``times`` with the values of their pairs, in one call per
-        precision.
-
-        Pair (s, t) reads longdouble values below s's n_ext and float64
-        values from there on, at both nodes, so a node between two pairs
-        needs longdouble values below the larger n_ext of itself and the
-        node before it, and float64 values from the smaller one on.  A node
-        whose phases the pairs reject (above TAU_MAX or not finite) gets no
-        values here, so the pair that reads it raises as without a schedule.
+        Consecutive times are the pairs (s, t) the caller will ask for, in
+        any order: pair (s, t) reads longdouble values below s's n_ext and
+        float64 values from there on, at both nodes, so each node gets
+        longdouble values below the larger n_ext of itself and the node
+        before it, and float64 values from the smaller one on.  A node whose
+        phases the pairs reject (above TAU_MAX or not finite) gets no values
+        here, nor do the nodes after it, so the pair that reads it raises as
+        without a prefetch.
         """
-        before = self.nodes.get(self._last)
-        self.nodes = {} if before is None else {self._last: before}
-        nodes = [_Node(self, t) for t in times]
-        self.nodes.update(zip(times, nodes))
-        self._last = times[-1]
-        n_ext = nodes[0].n_ext if before is None else before.n_ext
+        held = self.nodes.get(times[0])
+        self.nodes = {} if held is None else {times[0]: held}
+        for t in times:
+            if t not in self.nodes:
+                self.nodes[t] = _Node(self, t)
+        nodes = list(self.nodes.values())
+        n_ext = nodes[0].n_ext
         ready, ranges = [], []
-        for nd in nodes:
+        for nd in nodes[held is not None:]:
             if nd.args.size and not nd.args[-1] <= TAU_MAX:
                 break
             ready.append(nd)

@@ -25,11 +25,11 @@ Lambda(s)|xi| and Lambda(t)|xi|.  ``simulate`` keeps them per time node in
 one multipliers.NodeStore for the run: a step's midpoint serves both of its
 half steps, and its end is the next step's start, so each step needs two
 new node sets (tm and t1) instead of four.  The step times do not depend on
-the solution, so the store is given them in advance (``_step_plan``, read
-lazily by both the loop and the store) and evaluates the nodes of many
-steps in one Bessel call per precision.  The store also sorts the grid's
-|xi| once per run.  With a zero nonlinearity the propagator is exact over
-any interval, so ``simulate`` takes one step per output interval.
+the solution, so the loop reads its step plan (``_step_plan``) in chunks and
+has the store prefetch each chunk's time nodes in one Bessel call per
+precision before it takes the chunk's steps.  The store also sorts the
+grid's |xi| once per run.  With a zero nonlinearity the propagator is exact
+over any interval, so ``simulate`` takes one step per output interval.
 Blow-up (a non-finite value or max|u| above the threshold) is checked after
 every step and dated by that step; in a linear run that is the output time
 ending the step.
@@ -441,17 +441,14 @@ def _step_plan(config, times):
             t = t + dt
 
 
-def _node_times(plan, nonlinear):
-    """The times at which the steps of ``plan`` ask for multipliers, in
-    order: the first start, then each step's midpoint (nonlinear steps
-    only) and end."""
-    t = 0.0
-    yield t
-    for _, dt in plan:
+def _node_times(t, steps, nonlinear):
+    """The times at which ``steps``, taken from t, ask for multipliers, in
+    order: t, then each step's midpoint (nonlinear steps only) and end."""
+    times = [t]
+    for _, dt in steps:
         tm, t = _step_times(t, dt)
-        if nonlinear:
-            yield tm
-        yield t
+        times += [tm, t] if nonlinear else [t]
+    return times
 
 
 def cone_excess(state, grid, profile, r0, pad=0.0):
@@ -560,23 +557,27 @@ def simulate(config):
         rows.append(row)
 
     record(state)
-    # the step times are known in advance: the store reads them from the
-    # same plan the loop runs, to evaluate many time nodes per Bessel call
-    steps, ahead = itertools.tee(_step_plan(config, times))
-    store = multipliers.NodeStore(mu, profile, grid.xi,
-                                  schedule=_node_times(ahead, nonlin.form != "zero"))
+    store = multipliers.NodeStore(mu, profile, grid.xi)
+    nonlinear = nonlin.form != "zero"
+    # the step times are known in advance: each chunk of steps brings at most
+    # batch_nodes new time nodes (at least one step's), which the store
+    # evaluates in one Bessel call per precision before the steps ask for them
+    chunk_steps = max(1, store.batch_nodes // (2 if nonlinear else 1))
+    plan = _step_plan(config, times)
     threshold = config.blowup_factor * peak0
-    for t_out, dt in steps:
-        state = duhamel_step(state, profile, mu, grid, nonlin, dt, store=store)
-        blowup = _blowup(state, grid, threshold)
-        if blowup is not None:
-            t_star = blowup.t_star
-            rows.append({"t": t_star, "Lambda_t": float(profile.Lambda_at(t_star)),
-                         "L1": math.nan, "L2": math.nan, "H1_seminorm": math.nan,
-                         "energy": math.nan, "Linf": math.nan, "blowup_flag": 1.0})
-            break
-        if state.t >= t_out:
-            record(state)
+    while blowup is None and (chunk := list(itertools.islice(plan, chunk_steps))):
+        store.prefetch(_node_times(state.t, chunk, nonlinear))
+        for t_out, dt in chunk:
+            state = duhamel_step(state, profile, mu, grid, nonlin, dt, store=store)
+            blowup = _blowup(state, grid, threshold)
+            if blowup is not None:
+                t_star = blowup.t_star
+                rows.append({"t": t_star, "Lambda_t": float(profile.Lambda_at(t_star)),
+                             "L1": math.nan, "L2": math.nan, "H1_seminorm": math.nan,
+                             "energy": math.nan, "Linf": math.nan, "blowup_flag": 1.0})
+                break
+            if state.t >= t_out:
+                record(state)
 
     track_names = sorted({k for row in rows for k in row} - {"t", "Lambda_t"})
     tracks = {}

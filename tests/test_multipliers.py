@@ -1,6 +1,5 @@
 """Multiplier-module tests: closed forms, ODE oracle, zones, certification."""
 
-import itertools
 import math
 
 import numpy as np
@@ -308,11 +307,37 @@ def test_store_matches_reference_across_pairs(mu, prof):
 
 
 @pytest.mark.parametrize("mu, prof", [(4.0, CONST), (3.0, POLY)])
-def test_scheduled_store_off_schedule_and_out_of_order(mu, prof):
+def test_prefetched_nodes_serve_pairs_in_any_order(mu, prof, bessel_points):
+    # the nodes of three Duhamel steps, with |xi| crossing Lambda(t)|xi| = 1
+    # between the times, so that neighbours differ in extended prefix
     xi = np.concatenate([[0.0], np.geomspace(0.05, 20.0, 300), [0.5, 0.5, 0.0]])
-    store = mp.NodeStore(mu, prof, xi, schedule=[0.0, 0.3, 0.6, 0.9, 1.5, 3.0, 3.5])
-    # a pair on the schedule, a time off it (0.45), one asked before a time
-    # it follows (0.6 after 0.9), a pair the schedule skips, then in order
+    store = mp.NodeStore(mu, prof, xi)
+    store.prefetch([0.0, 0.15, 0.3, 0.6, 0.9, 1.5, 2.1])
+    assert bessel_points[1] == 2
+    # a step's end before its midpoint, and two pairs taken in reverse
+    pairs = [(0.15, 0.3), (0.0, 0.15), (1.5, 2.1), (0.9, 1.5), (0.6, 0.9), (0.3, 0.6)]
+    got = [mp.phi_values_grid(mu, prof, s, t, xi, store=store) for s, t in pairs]
+    assert bessel_points[1] == 2
+    # the next batch keeps the node it starts from and its values
+    kept = store.nodes[2.1]
+    store.prefetch([2.1, 2.4, 2.7])
+    assert store.nodes[2.1] is kept and list(store.nodes) == [2.1, 2.4, 2.7]
+    pairs += [(2.4, 2.7), (2.1, 2.4)]
+    got += [mp.phi_values_grid(mu, prof, s, t, xi, store=store) for s, t in pairs[-2:]]
+    assert bessel_points[1] == 4
+    for (s, t), entries in zip(pairs, got):
+        for g, r in zip(entries, mp.phi_values_grid(mu, prof, s, t, xi)):
+            assert np.array_equal(g, r)
+
+
+@pytest.mark.parametrize("mu, prof", [(4.0, CONST), (3.0, POLY)])
+def test_prefetched_store_off_batch_and_out_of_order(mu, prof):
+    xi = np.concatenate([[0.0], np.geomspace(0.05, 20.0, 300), [0.5, 0.5, 0.0]])
+    store = mp.NodeStore(mu, prof, xi)
+    store.prefetch([0.0, 0.3, 0.6, 0.9, 1.5, 3.0, 3.5])
+    # a pair in the batch, a time off it (0.45), which gets a node of its
+    # own, one asked before a time it follows (0.6 after 0.9), a pair of
+    # times that are not neighbours in the batch, then in order
     pairs = [(0.0, 0.3), (0.3, 0.45), (0.9, 1.5), (0.6, 0.9), (0.0, 3.5),
              (1.5, 3.0), (3.0, 3.5)]
     for s, t in pairs:
@@ -321,44 +346,12 @@ def test_scheduled_store_off_schedule_and_out_of_order(mu, prof):
             assert np.array_equal(g, r)
 
 
-def test_scheduled_store_reads_one_batch_of_an_endless_schedule(bessel_points):
-    xi = np.geomspace(0.01, 50.0, 5000)
-    drawn = [0]
-
-    def endless():
-        for i in itertools.count():
-            drawn[0] += 1
-            # fail rather than hang if the store reads the schedule to its end
-            assert drawn[0] <= 1000, "the schedule was read far past one batch"
-            yield 0.01 * i
-
-    store = mp.NodeStore(4.0, CONST, xi, schedule=endless())
-    assert 1 < store.batch_nodes < 100 and drawn[0] == 0
-    got = mp.phi_values_grid(4.0, CONST, 0.0, 0.01, xi, store=store)
-    assert bessel_points[1] <= 2 and drawn[0] == store.batch_nodes
-    assert len(store.nodes) <= store.batch_nodes + 1
-    for g, r in zip(got, mp.phi_values_grid(4.0, CONST, 0.0, 0.01, xi)):
-        assert np.array_equal(g, r)
-    # the next batch starts where the first ended and keeps the node before it
-    t_end = 0.01 * (store.batch_nodes - 1)
-    bessel_points[1] = 0
-    mp.phi_values_grid(4.0, CONST, t_end, 0.01 * store.batch_nodes, xi, store=store)
-    assert bessel_points[1] <= 2 and drawn[0] == 2 * store.batch_nodes
-    assert len(store.nodes) <= store.batch_nodes + 1 and t_end in store.nodes
-    # a time off the schedule gets a node of its own and leaves the next
-    # scheduled time to start the next batch
-    t_end, t_next = 0.01 * (2 * store.batch_nodes - 1), 0.01 * (2 * store.batch_nodes)
-    mp.phi_values_grid(4.0, CONST, t_end, t_next - 0.005, xi, store=store)
-    bessel_points[1] = 0
-    mp.phi_values_grid(4.0, CONST, t_end, t_next, xi, store=store)
-    assert bessel_points[1] <= 2 and drawn[0] == 3 * store.batch_nodes
-
-
-def test_scheduled_store_leaves_rejected_phases_to_the_pair():
+def test_prefetched_store_leaves_rejected_phases_to_the_pair():
     # the last node's phases overflow to inf: only the pair that reads it raises
     xi = np.array([0.5, 1.0, 2.0])
-    store = mp.NodeStore(4.0, CONST, xi, schedule=[0.0, 1.0, 1e308])
+    store = mp.NodeStore(4.0, CONST, xi)
     with np.errstate(over="ignore"):
+        store.prefetch([0.0, 1.0, 1e308])
         mp.phi_values_grid(4.0, CONST, 0.0, 1.0, xi, store=store)
         with pytest.raises(DomainError, match="TAU_MAX"):
             mp.phi_values_grid(4.0, CONST, 1.0, 1e308, xi, store=store)

@@ -415,13 +415,37 @@ def test_run_evaluates_two_node_sets_per_step(bessel_points, monkeypatch):
     assert 0 < bessel_points[0] <= (2 * steps[0] + 2) * len(np.unique(cfg.grid.xi))
 
 
-def _without_schedule(monkeypatch):
-    """Make simulate's node store ignore its schedule, as before batching."""
+def _without_prefetch(monkeypatch):
+    """Make simulate's node store evaluate each node when a step asks for
+    it, as before batching."""
     from dampwave import multipliers
 
-    store = multipliers.NodeStore
-    monkeypatch.setattr(multipliers, "NodeStore",
-                        lambda mu, profile, xi, *, schedule=None: store(mu, profile, xi))
+    monkeypatch.setattr(multipliers.NodeStore, "prefetch", lambda store, times: None)
+
+
+def _counted_steps(monkeypatch):
+    steps = [0]
+    duhamel_step = sv.duhamel_step
+
+    def counted(*args, **kwargs):
+        steps[0] += 1
+        return duhamel_step(*args, **kwargs)
+
+    monkeypatch.setattr(sv, "duhamel_step", counted)
+    return steps
+
+
+def _assert_same_run(got_run, ref_run):
+    (got, got_final), (ref, ref_final) = got_run, ref_run
+    assert np.array_equal(got.times, ref.times)
+    assert got.tracks.keys() == ref.tracks.keys()
+    for name, track in got.tracks.items():
+        assert np.array_equal(track, ref.tracks[name], equal_nan=True), name
+    if isinstance(ref_final, sv.BlowupRecord):
+        assert got_final == ref_final
+    else:
+        assert np.array_equal(got_final.u, ref_final.u)
+        assert np.array_equal(got_final.ut, ref_final.ut)
 
 
 SEMILINEAR_3D = {"profile": {"kind": "constant"}, "mu": 4.0, "grid": {"n": 3, "N": 32},
@@ -436,33 +460,16 @@ POLY_2D = {"profile": {"kind": "polynomial", "q": 0.5}, "mu": 3.0, "grid": {"n":
                          ids=["constant", "polynomial", "blowup"])
 def test_scheduled_run_is_bitwise_unscheduled(raw, monkeypatch):
     cfg = validate_config(raw)
-    runs = [sv.simulate(cfg)]
-    _without_schedule(monkeypatch)
-    runs.append(sv.simulate(cfg))
-    (got, got_final), (ref, ref_final) = runs
-    assert np.array_equal(got.times, ref.times)
-    assert got.tracks.keys() == ref.tracks.keys()
-    for name, track in got.tracks.items():
-        assert np.array_equal(track, ref.tracks[name], equal_nan=True), name
-    if isinstance(ref_final, sv.BlowupRecord):
-        assert got_final == ref_final
-    else:
-        assert np.array_equal(got_final.u, ref_final.u)
-        assert np.array_equal(got_final.ut, ref_final.ut)
+    got = sv.simulate(cfg)
+    _without_prefetch(monkeypatch)
+    _assert_same_run(got, sv.simulate(cfg))
 
 
 @pytest.mark.parametrize("raw", [SEMILINEAR_3D, POLY_2D], ids=["one_batch", "batches"])
 def test_scheduled_run_batches_bessel_calls(raw, bessel_points, monkeypatch):
     from dampwave import multipliers
 
-    steps = [0]
-    duhamel_step = sv.duhamel_step
-
-    def counted(*args, **kwargs):
-        steps[0] += 1
-        return duhamel_step(*args, **kwargs)
-
-    monkeypatch.setattr(sv, "duhamel_step", counted)
+    steps = _counted_steps(monkeypatch)
     cfg = validate_config(raw)
     sv.simulate(cfg)
     points, calls = bessel_points
@@ -473,9 +480,75 @@ def test_scheduled_run_batches_bessel_calls(raw, bessel_points, monkeypatch):
     assert steps[0] > 10 and calls <= 2 * math.ceil(nodes / batch_nodes)
     # batching evaluates the same points as one node at a time
     bessel_points[:] = [0, 0]
-    _without_schedule(monkeypatch)
+    _without_prefetch(monkeypatch)
     sv.simulate(cfg)
     assert bessel_points[0] == points and bessel_points[1] > calls
+
+
+def test_run_below_one_step_per_batch_takes_a_step_per_chunk(monkeypatch):
+    from dampwave import multipliers
+
+    monkeypatch.setattr(multipliers, "BATCH_POINTS", 1)
+    chunks = []
+    prefetch = multipliers.NodeStore.prefetch
+
+    def recorded(store, times):
+        assert store.batch_nodes == 1
+        chunks.append(len(times))
+        prefetch(store, times)
+
+    monkeypatch.setattr(multipliers.NodeStore, "prefetch", recorded)
+    steps = _counted_steps(monkeypatch)
+    cfg = validate_config(SEMILINEAR_3D)
+    got = sv.simulate(cfg)
+    # each chunk is one step: its start, midpoint and end
+    assert steps[0] > 10 and chunks == [3] * steps[0]
+    _without_prefetch(monkeypatch)
+    _assert_same_run(got, sv.simulate(cfg))
+
+
+def test_run_reads_its_plan_one_chunk_ahead(bessel_points, monkeypatch):
+    from dampwave import multipliers
+
+    drawn = [0]
+
+    def endless(config, times):
+        while True:
+            drawn[0] += 1
+            # fail rather than hang if the loop reads the plan to its end
+            assert drawn[0] <= 1000, "the plan was read far past one chunk"
+            yield math.inf, 0.01
+
+    held = []
+    prefetch = multipliers.NodeStore.prefetch
+
+    def recorded(store, times):
+        prefetch(store, times)
+        held.append((len(store.nodes), store.batch_nodes))
+
+    class Stop(Exception):
+        pass
+
+    steps = [0]
+    duhamel_step = sv.duhamel_step
+    cfg = validate_config(SEMILINEAR_3D)
+    chunk = multipliers.NodeStore(4.0, cfg.profile, cfg.grid.xi).batch_nodes // 2
+    assert 1 < chunk < 100
+
+    def stopped(*args, **kwargs):
+        steps[0] += 1
+        if steps[0] > chunk + 1:
+            raise Stop
+        return duhamel_step(*args, **kwargs)
+
+    monkeypatch.setattr(sv, "_step_plan", endless)
+    monkeypatch.setattr(sv, "duhamel_step", stopped)
+    monkeypatch.setattr(multipliers.NodeStore, "prefetch", recorded)
+    with pytest.raises(Stop):
+        sv.simulate(cfg)
+    # the second chunk is read when its first step is due, not before
+    assert drawn[0] == 2 * chunk and bessel_points[1] == 4
+    assert all(n <= batch_nodes + 1 for n, batch_nodes in held)
 
 
 def gradient_norm_sq_reference(grid, uh):
