@@ -221,6 +221,16 @@ class ExponentReport:
                 "entries": [e.as_dict() for e in self.entries]}
 
 
+def _energy_border(n, m):
+    """mu = 2 + n(2/m - 1), the L^m-data energy estimates' borderline damping."""
+    return 2.0 + n * (2.0 / m - 1.0)
+
+
+def _lm_critical_power(n, m, gamma):
+    """p = 1 + m(2 + gamma)/n, the critical power of the L^m-data route."""
+    return 1.0 + m * (2.0 + gamma) / n
+
+
 def exponent_catalog(n, gamma, m, mu):
     """Every closed-form exponent threshold with its validity condition.
 
@@ -261,8 +271,8 @@ def exponent_catalog(n, gamma, m, mu):
         prange=(v, p_cap if n >= 3 else None), empty_range=empty))
 
     # Lm-data route at the requested m
-    v = 1.0 + m * (2.0 + gamma) / n
-    mu_min = 2.0 + n * (2.0 / m - 1.0)
+    v = _lm_critical_power(n, m, gamma)
+    mu_min = _energy_border(n, m)
     cond_dim = n <= 4.0 / (2.0 - m)
     gamma_ok = (gamma + 2.0) >= n * (2.0 - m) / (m * m)
     appl = cond_dim and mu >= mu_min
@@ -626,7 +636,7 @@ def run_scan(scan_config):
     for idx in sorted(results):
         params, verdict = results[idx]
         gamma_c = params.get("gamma", gamma0)
-        p_crit = 1.0 + classify["threshold_m"] * (2.0 + gamma_c) / n0
+        p_crit = _lm_critical_power(n0, classify["threshold_m"], gamma_c)
         at_thr = "p" in params and abs(params["p"] - p_crit) <= 1e-12
         cells.append(CellResult(index=idx, params=params,
                                 at_threshold=at_thr, **verdict))

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import analysis, multipliers, specfun
-from .analysis import _fmt
+from .analysis import _energy_border, _fmt
 from .config import CHECK_FORMAT, build_profile, parse_json, read, validate_config
 from .errors import (DampwaveError, DegenerateFitError, DomainError,
                      FitWindowError, IntegrationFailureError, QuadratureError,
@@ -184,7 +184,7 @@ def _cmd_gn(args):
 def predicted_decay_exponents(n, mu, m=1.0):
     """Reference decay slopes of the linear estimates, for plot annotations."""
     base = n * (1.0 / m - 0.5)
-    border = 2.0 + n * (2.0 / m - 1.0)
+    border = _energy_border(n, m)
     return {"L2": base, "energy": base + 1.0 if mu > border else mu / 2.0,
             "energy_log": mu == border}
 

@@ -23,9 +23,11 @@ where sigma = Lambda(s)|xi|.  The Im-form is used throughout: it is exactly
 real, which is also why all four entries carry zero imaginary part.
 The entries are formed in two stages: J and Y at orders rho and rho - 1 at
 one time node, for the sorted distinct |xi| (NodeStore), then the cross
-products of the nodes at s and t.  ``phase_factors`` gives the same entries
-in phase form, Im[W e^{i (Lambda(t) - Lambda(s))|xi|}] with W slowly varying
-in |xi|, for quadratures that integrate the phase in closed form.
+products of the nodes at s and t, split by precision in ``_pair_parts``;
+``_fill`` evaluates the values of any set of nodes in one call per
+precision.  ``phase_factors`` gives the same entries in phase form,
+Im[W e^{i (Lambda(t) - Lambda(s))|xi|}] with W slowly varying in |xi|, for
+quadratures that integrate the phase in closed form.
 
 The module also provides a brute-force per-mode ODE oracle (independent of
 the special functions), the frequency-zone classifier, and an empirical
@@ -41,6 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _ode
+from .analysis import _energy_border
 from .errors import DomainError, UnsupportedOrderError
 from .specfun import _PI, MAX_ORDER, _jy, jy_extended
 
@@ -55,6 +58,13 @@ _ORACLE_ATOL = 1e-12
 
 # surface area of the unit sphere S^{n-1} in R^n
 SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
+
+
+def _sphere_area(n):
+    """SPHERE_AREA[n]; DomainError for n other than 1, 2 or 3."""
+    if n not in SPHERE_AREA:
+        raise DomainError(f"n must be 1, 2 or 3, got {n!r}")
+    return SPHERE_AREA[n]
 
 
 def rho_of(mu):
@@ -99,61 +109,62 @@ def _zero_mode_values(mu, lam_s, lam_t, Lam_s, Lam_t):
 
 
 class _Node:
-    """Bessel values on sigma = Lambda(t)|xi| at one time t, for sorted |xi| > 0.
+    """Bessel values on Lambda(t)|xi| at one time t, for the store's sorted
+    nonzero |xi| from index ``start`` on: J and Y at orders rho and rho - 1,
+    in float64 on a suffix args[lo:] and in longdouble on a prefix args[:hi],
+    both filled by ``_fill`` and only growing."""
 
-    J and Y at orders rho and rho - 1 are kept in float64 on a suffix of the
-    arguments and in longdouble on a prefix; NodeStore.prefetch sets both
-    for a batch of nodes at once, and each part grows when a pair of times
-    asks for more of it.
-    """
-
-    def __init__(self, store, t):
-        self.rho = store.rho
+    def __init__(self, store, t, start=0):
         self.lam = float(store.profile.lambda_at(t))
         self.Lam = float(store.profile.Lambda_at(t))
-        self.args = self.Lam * store.nonzero
+        self.args = self.Lam * store.nonzero[start:]
         # arguments below _EXT_SIGMA form a prefix, because |xi| is sorted
         self.n_ext = int(np.searchsorted(self.args, _EXT_SIGMA))
-        self.lo = self.args.size
-        self.double = [np.empty(0)] * 4
-        self.hi = 0
-        self.ext = [np.empty(0, dtype=np.longdouble)] * 4
+        self.lo, self.double = self.args.size, [np.empty(0)] * 4
+        self.hi, self.ext = 0, [np.empty(0, dtype=np.longdouble)] * 4
 
-    def double_from(self, lo):
-        """Float64 (J_rho, Y_rho, J_{rho-1}, Y_{rho-1}) on args[lo:]."""
-        if lo < self.lo:
-            new = _jy(self.rho, self.args[lo:self.lo])
-            self.double = [np.concatenate(p) for p in zip(new, self.double)]
-            self.lo = lo
-        return [v[lo - self.lo:] for v in self.double]
 
-    def evaluate(self):
-        """Values on every argument: longdouble below n_ext, float64 above."""
-        self.extended_to(self.n_ext)
-        self.double_from(self.n_ext)
+def _batched(fn, rho, parts):
+    """fn(rho, .)'s four arrays over the concatenated parts, split per part."""
+    cuts = np.cumsum([p.size for p in parts[:-1]])
+    return zip(*(np.split(v, cuts) for v in fn(rho, np.concatenate(parts))))
 
-    def extended_to(self, hi):
-        """Longdouble (J_rho, Y_rho, J_{rho-1}, Y_{rho-1}) on args[:hi]."""
-        if hi > self.hi:
-            new = jy_extended(self.rho, self.args[self.hi:hi])
-            self.ext = [np.concatenate(p) for p in zip(self.ext, new)]
-            self.hi = hi
-        return [v[:hi] for v in self.ext]
+
+def _fill(rho, wants):
+    """The one evaluator of node values: gives each (node, lo, hi) of
+    ``wants``, distinct nodes, the float64 values it lacks on args[lo:] and
+    the longdouble values it lacks on args[:hi], with at most one ``_jy``
+    and one ``jy_extended`` call for them all."""
+    double = [(nd, lo) for nd, lo, _ in wants if lo < nd.lo]
+    if double:
+        new = _batched(_jy, rho, [nd.args[lo:nd.lo] for nd, lo in double])
+        for (nd, lo), values in zip(double, new):
+            nd.double, nd.lo = [np.concatenate(p) for p in zip(values, nd.double)], lo
+    ext = [(nd, hi) for nd, _, hi in wants if hi > nd.hi]
+    if ext:
+        new = _batched(jy_extended, rho, [nd.args[nd.hi:hi] for nd, hi in ext])
+        for (nd, hi), values in zip(ext, new):
+            nd.ext, nd.hi = [np.concatenate(p) for p in zip(nd.ext, values)], hi
+
+
+def _pair_parts(store, at_s, at_t, lo=0):
+    """The one precision split of a pair (s, t), on the store's nonzero |xi|
+    from index ``lo`` on, where at_t's arguments start: longdouble where
+    sigma = Lambda(s)|xi| < _EXT_SIGMA, float64 above.  Fills what the nodes
+    lack, then yields (p_lo, p_hi, values at sigma, values at tau) per part,
+    each (J_rho, Y_rho, J_{rho-1}, Y_{rho-1}) on |xi| indices p_lo:p_hi."""
+    k = max(lo, at_s.n_ext)
+    _fill(store.rho, [(at_s, k, k if k > lo else 0), (at_t, k - lo, k - lo)])
+    if k > lo:
+        yield lo, k, [v[lo:k] for v in at_s.ext], [v[:k - lo] for v in at_t.ext]
+    if k < store.nonzero.size:
+        yield (k, store.nonzero.size, [v[k - at_s.lo:] for v in at_s.double],
+               [v[k - lo - at_t.lo:] for v in at_t.double])
 
 
 # Bessel points (distinct nonzero |xi| times nodes) that NodeStore.prefetch
 # is given to evaluate in one float64 and one extended call
 BATCH_POINTS = 2**15
-
-
-def _batched(fn, rho, parts):
-    """fn(rho, .)'s four arrays over the concatenated parts, split per part:
-    one tuple of four per part, or None (and no call) when all are empty."""
-    if not sum(p.size for p in parts):
-        return None
-    flat = np.concatenate(parts)
-    cuts = np.cumsum([p.size for p in parts[:-1]])
-    return zip(*(np.split(v, cuts) for v in fn(rho, flat)))
 
 
 class NodeStore:
@@ -200,38 +211,25 @@ class NodeStore:
     def prefetch(self, times):
         """Evaluate the nodes at increasing ``times`` in one call per
         precision, and then hold only those nodes; one held at times[0] keeps
-        its values.
+        its values.  An empty ``times`` changes nothing.
 
         Consecutive times are the pairs (s, t) the caller will ask for, in
-        any order: pair (s, t) reads longdouble values below s's n_ext and
-        float64 values from there on, at both nodes, so each node gets
-        longdouble values below the larger n_ext of itself and the node
-        before it, and float64 values from the smaller one on.  A node whose
-        phases the pairs reject (above TAU_MAX or not finite) gets no values
-        here, nor do the nodes after it, so the pair that reads it raises as
-        without a prefetch.
+        any order, so each node gets what ``_pair_parts`` reads of it as s or
+        t of such a pair.  A node whose phases the pairs reject (above
+        TAU_MAX or not finite) gets no values here, nor do the nodes after
+        it, so the pair that reads it raises as without a prefetch.
         """
-        held = self.nodes.get(times[0])
-        self.nodes = {} if held is None else {times[0]: held}
-        for t in times:
-            if t not in self.nodes:
-                self.nodes[t] = _Node(self, t)
-        nodes = list(self.nodes.values())
-        n_ext = nodes[0].n_ext
-        ready, ranges = [], []
-        for nd in nodes[held is not None:]:
+        if not times:
+            return
+        held = {t: self.nodes[t] for t in times[:1] if t in self.nodes}
+        self.nodes = held | {t: _Node(self, t) for t in times if t not in held}
+        wants, n_ext = [], self.nodes[times[0]].n_ext
+        for nd in self.nodes.values():
             if nd.args.size and not nd.args[-1] <= TAU_MAX:
                 break
-            ready.append(nd)
-            ranges.append(sorted((n_ext, nd.n_ext)))
+            wants.append((nd, *sorted((n_ext, nd.n_ext))))
             n_ext = nd.n_ext
-        double = _batched(_jy, self.rho, [nd.args[lo:] for nd, (lo, _) in zip(ready, ranges)])
-        ext = _batched(jy_extended, self.rho, [nd.args[:hi] for nd, (_, hi) in zip(ready, ranges)])
-        for nd, (lo, hi) in zip(ready, ranges):
-            if double is not None:
-                nd.lo, nd.double = lo, list(next(double))
-            if ext is not None:
-                nd.hi, nd.ext = hi, list(next(ext))
+        _fill(self.rho, wants)
 
 
 def phi_values_grid(mu, profile, s, t, xi, *, store=None):
@@ -287,18 +285,8 @@ def _assemble(store, at_s, at_t):
         vals = _zero_mode_values(store.mu, at_s.lam, at_t.lam, at_s.Lam, at_t.Lam)
         for e, v in zip(entries, vals):
             e[0] = v
-
-    # sigma = Lambda(s)|xi| < _EXT_SIGMA in extended precision, the rest in
-    # float64; orders rho and rho - 1 come from one call per argument set
-    k = at_s.n_ext
-    n = store.nonzero.size
-    parts = []
-    if k:
-        parts.append((0, k, at_s.extended_to(k), at_t.extended_to(k)))
-    if k < n:
-        parts.append((k, n, at_s.double_from(k), at_t.double_from(k)))
     terms = _entry_terms(store.rho, at_s.lam, at_s.Lam, at_t.lam, at_t.Lam)
-    for lo, hi, at_sigma, at_tau in parts:
+    for lo, hi, at_sigma, at_tau in _pair_parts(store, at_s, at_t):
         xe = store.nonzero[lo:hi]
         out = slice(z + lo, z + hi)
         for entry, (scale, power, a, b) in zip(entries, terms):
@@ -326,32 +314,20 @@ def phase_factors(store, s, t, lo=0):
     W = scale |xi|^k conj(C(sigma)) C(tau) with C(x) = H+(x) e^{-ix}, which
     carries none of the phase, so W varies slowly in |xi| once tau is past
     the order.  The store's node at s is kept and serves every t; the tau
-    side is evaluated per call, with the precision split of ``_assemble``
-    (longdouble where sigma < _EXT_SIGMA).  Raises DomainError unless
-    0 <= s <= t, and for a phase beyond TAU_MAX.
+    side is evaluated per call, on a node of its own, with the precision
+    split of ``_pair_parts``.  Raises DomainError unless 0 <= s <= t, and for
+    a phase beyond TAU_MAX.
     """
     if not (0.0 <= s <= t):
         raise DomainError("need 0 <= s <= t")
-    xe = store.nonzero[lo:]
-    at_s = store.node(s)
-    lam_t = float(store.profile.lambda_at(t))
-    Lam_t = float(store.profile.Lambda_at(t))
-    tau = Lam_t * xe
-    _check_phases(tau)
-    n = store.nonzero.size
-    k = max(lo, at_s.n_ext)
-    parts = []
-    if k > lo:
-        parts.append((lo, k, [v[lo:] for v in at_s.extended_to(k)],
-                      jy_extended(store.rho, tau[:k - lo])))
-    if k < n:
-        parts.append((k, n, at_s.double_from(k), _jy(store.rho, tau[k - lo:])))
-    factors = [np.empty(xe.size, dtype=complex) for _ in range(4)]
-    terms = _entry_terms(store.rho, at_s.lam, at_s.Lam, lam_t, Lam_t)
-    for p_lo, p_hi, at_sigma, at_tau in parts:
+    at_s, at_t = store.node(s), _Node(store, t, lo)
+    _check_phases(at_t.args)
+    factors = [np.empty(at_t.args.size, dtype=complex) for _ in range(4)]
+    terms = _entry_terms(store.rho, at_s.lam, at_s.Lam, at_t.lam, at_t.Lam)
+    for p_lo, p_hi, at_sigma, at_tau in _pair_parts(store, at_s, at_t, lo):
         dt = at_sigma[0].dtype
         c_sigma = _stripped(at_sigma, at_s.args[p_lo:p_hi].astype(dt))
-        c_tau = _stripped(at_tau, tau[p_lo - lo:p_hi - lo].astype(dt))
+        c_tau = _stripped(at_tau, at_t.args[p_lo - lo:p_hi - lo].astype(dt))
         x = store.nonzero[p_lo:p_hi]
         out = slice(p_lo - lo, p_hi - lo)
         for w, (scale, power, a, b) in zip(factors, terms):
@@ -515,25 +491,25 @@ def certify_zone_bounds(mu, profile, m, spec=None):
     mu = 2 + n(2/m - 1), and the sub-threshold rate
     lambda(t) Lambda(t)^(-mu/2) Lambda(s)^(mu/2) for mu < 2.
     Reports max ratios per family; a family certifies as stable when its max
-    over the largest t-decade stays within 10x the decade median.
+    over the largest t-decade stays within 10x the decade median.  Raises
+    DomainError for m outside [1, 2], and for spec.n outside 1..3 if m < 2.
     """
     spec = spec or ZoneSampleSpec()
     if not 1.0 <= m <= 2.0:
         raise DomainError("m must lie in [1, 2]")
     n = spec.n
+    area = None if m == 2.0 else _sphere_area(n)
     K = spec.K
     q = math.inf if m == 2.0 else 1.0 / (1.0 / m - 0.5)
     notes = []
     families = {}
 
     def fam(name, template):
-        if name not in families:
-            families[name] = FamilyReport(name=name, template=template)
-        return families[name]
+        return families.setdefault(name, FamilyReport(name=name, template=template))
 
     n_t = max(2, int(spec.t_per_decade * math.log10(spec.t_max / spec.t_min)) + 1)
     t_grid = np.geomspace(spec.t_min, spec.t_max, n_t)
-    border_en = 2.0 + n * (2.0 / m - 1.0)
+    border_en = _energy_border(n, m)
     border_sol = n * (2.0 / m - 1.0)
 
     for s in spec.s_values:
@@ -566,11 +542,10 @@ def certify_zone_bounds(mu, profile, m, spec=None):
                 fam("I1_en_v1", "lt*(Ls/Lt)^(mu/2)/ls").samples.append(
                     (s, t, float(np.max(en1) / (lam_t * base / lam_s))))
 
-            # ---- zones I2 u I3: xi <= K/Lambda(s) ----
-            xi_top = K / Lam_s
+            # ---- zones I2 u I3: xi <= K/Lambda(s) = xi_lo ----
             xi_bot = (K / Lam_t) * 10.0 ** (-spec.low_decades)
-            npts = max(16, int(spec.xi_per_decade * math.log10(xi_top / xi_bot)) + 1)
-            xi = np.geomspace(xi_bot, xi_top, npts)
+            npts = max(16, int(spec.xi_per_decade * math.log10(xi_lo / xi_bot)) + 1)
+            xi = np.geomspace(xi_bot, xi_lo, npts)
             p0, p1, d0, d1 = phi_values_grid(mu, profile, s, t, xi)
             en0 = np.maximum(lam_t * xi * np.abs(p0), np.abs(d0))
             en1 = np.maximum(lam_t * xi * np.abs(p1), np.abs(d1))
@@ -593,8 +568,6 @@ def certify_zone_bounds(mu, profile, m, spec=None):
                 fam("I23_en_v1", tpl + " / ls").samples.append(
                     (s, t, float(np.max(en1) / (en_base / lam_s))))
             else:
-                area = SPHERE_AREA[n]
-
                 def lq(vals):
                     integrand = np.abs(vals) ** q * xi ** (n - 1)
                     return (area * np.trapezoid(integrand * xi, np.log(xi))) ** (1.0 / q)

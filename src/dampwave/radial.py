@@ -37,8 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureError
-from .multipliers import (DEFAULT_K, SPHERE_AREA, NodeStore, phase_factors, phi_values_grid,
+from .config import _NON_NEGATIVE, _POSITIVE
+from .errors import DomainError, QuadratureError
+from .multipliers import (DEFAULT_K, NodeStore, _sphere_area, phase_factors, phi_values_grid,
                           rho_of)
 
 # The log zone ends at tau = Lambda(t) xi = 16, where specfun's Hankel
@@ -132,22 +133,29 @@ def _lattice(xi_max, pts_per_period, log_pts_per_decade, xi_split):
     return lattice[_zone_start(lattice, xi_split):]
 
 
-def _nodes(Lam, xi_max, pts_per_period, log_pts_per_decade, lattice=None):
+def _filon_store(mu, profile, times, xi_max, pts_per_period, log_pts_per_decade):
+    """NodeStore of (mu, profile) on the ``_lattice`` that reaches the split
+    of each of ``times``, or None when none of them has a Filon zone."""
+    xi_split = min((_split(float(profile.Lambda_at(t)), xi_max) for t in times),
+                   default=xi_max)
+    if xi_max > xi_split * (1.0 + 1e-12):
+        return NodeStore(mu, profile,
+                         _lattice(xi_max, pts_per_period, log_pts_per_decade, xi_split))
+    return None
+
+
+def _nodes(Lam, xi_max, log_pts_per_decade, lattice):
     """The nodes of one output time: (log_xi, lo, zone).
 
-    ``zone`` = lattice[lo:] is the Filon zone (empty without one; ``lattice``
-    is built here when None).  ``log_xi`` is the log zone, m = 1 mod 4 nodes
-    from xi_lo up to the first Filon node or to xi_max; the junction node
-    belongs to both zones.
+    ``zone`` = lattice[lo:] is the Filon zone, empty without one, and
+    ``lattice`` (None when no time has a zone) reaches this time's split.
+    ``log_xi`` is the log zone, m = 1 mod 4 nodes from xi_lo up to the first
+    Filon node or to xi_max; the junction node belongs to both zones.
     """
     xi_split = _split(Lam, xi_max)
     lo, zone = 0, np.empty(0)
     if xi_max > xi_split * (1.0 + 1e-12):
-        if lattice is None:
-            lattice = _lattice(xi_max, pts_per_period, log_pts_per_decade, xi_split)
         lo = _zone_start(lattice, xi_split)
-        if lo < 0:
-            raise ValueError("the lattice does not reach this time's split")
         zone = lattice[lo:]
     xi_hi = float(zone[0]) if zone.size else xi_split
     # the log zone resolves the K/Lambda(t) structure at low frequency
@@ -257,6 +265,18 @@ def _default_xi_max(v0_hat, v1_hat):
     return float(alive[-1]) * 1.5 if alive.size else 0.0
 
 
+def _check_rule(n, xi_max, rtol, pts_per_period, log_pts_per_decade):
+    """Raise DomainError unless n is 1, 2 or 3, xi_max and rtol are finite
+    and >= 0, and both densities are finite and > 0."""
+    _sphere_area(n)
+    for name, value, (ok, what) in (
+            ("xi_max", xi_max, _NON_NEGATIVE), ("rtol", rtol, _NON_NEGATIVE),
+            ("pts_per_period", pts_per_period, _POSITIVE),
+            ("log_pts_per_decade", log_pts_per_decade, _POSITIVE)):
+        if not ok(value):
+            raise DomainError(f"{name} must be {what}, got {value!r}")
+
+
 def linear_norm_radial(mu, profile, v0_hat, v1_hat, t, n=1, s=0.0,
                        xi_max=None, rtol=1e-8, pts_per_period=24,
                        log_pts_per_decade=120, *, _lattice_store=None):
@@ -268,17 +288,17 @@ def linear_norm_radial(mu, profile, v0_hat, v1_hat, t, n=1, s=0.0,
     ``log_pts_per_decade`` sets the coarse rule's density in log(xi) and
     ``pts_per_period`` the Filon zone's uniform step above xi = 1,
     pi/(8 pts_per_period); the fine rule, whose value is returned, has twice
-    that density on the same nodes.  ``_lattice_store`` is a NodeStore of
-    (mu, profile) on a lattice from ``_lattice`` that reaches this time's
-    split, shared by the times of a series.
+    that density on the same nodes.  ``_lattice_store`` is a series'
+    ``_filon_store``, which its times share.  Raises DomainError unless n is
+    1, 2 or 3, xi_max and rtol are >= 0 and both densities > 0, all finite.
     """
     if xi_max is None:
         xi_max = _default_xi_max(v0_hat, v1_hat)
+    _check_rule(n, xi_max, rtol, pts_per_period, log_pts_per_decade)
     Lam = float(profile.Lambda_at(t))
-    store = _lattice_store
-    if store is not None and not (store.mu == mu and store.profile is profile):
-        raise ValueError("the lattice store was built for another (mu, profile)")
-    log_xi, lo, zone = _nodes(Lam, xi_max, pts_per_period, log_pts_per_decade,
+    store = _lattice_store or _filon_store(mu, profile, [t], xi_max, pts_per_period,
+                                           log_pts_per_decade)
+    log_xi, lo, zone = _nodes(Lam, xi_max, log_pts_per_decade,
                               None if store is None else store.nonzero)
     if not (log_xi.size or zone.size):
         return RadialNorms(l2=0.0, energy=0.0, t=t)
@@ -299,7 +319,7 @@ def linear_norm_radial(mu, profile, v0_hat, v1_hat, t, n=1, s=0.0,
         sq += weights @ _integrands(lam, xi, n, np.abs(p0 * a0 + p1 * a1) ** 2,
                                     np.abs(d0 * a0 + d1 * a1) ** 2)
     if wave_w is not None:
-        factors = phase_factors(store or NodeStore(mu, profile, zone), s, t, lo)
+        factors = phase_factors(store, s, t, lo)
         a0, a1 = v0_hat(zone), v1_hat(zone)
         # sum_e a_e Im[W_e e^{i phi}] = (A e^{i phi} - B e^{-i phi}) / 2i with
         # A = sum W_e a_e, B = sum conj(W_e) a_e, so its squared modulus is
@@ -312,7 +332,7 @@ def linear_norm_radial(mu, profile, v0_hat, v1_hat, t, n=1, s=0.0,
             wave.append(-0.5 * big_a * np.conj(big_b))
         sq += smooth_w @ _integrands(lam, zone, n, *smooth)
         sq += (wave_w @ _integrands(lam, zone, n, *wave)).real
-    const = SPHERE_AREA[n] / (2.0 * math.pi) ** n
+    const = _sphere_area(n) / (2.0 * math.pi) ** n
     fine, coarse = np.sqrt(np.maximum(const * sq, 0.0)).tolist()
     # Simpson's error drops ~16x per refinement, so the coarse-fine gap may
     # legitimately reach ~16x the fine error; certify fine to ~2*rtol.
@@ -333,22 +353,18 @@ def linear_decay_series(mu, profile, v0_hat, v1_hat, times, n=1, s=0.0,
     of linear_norm_radial, so this helper runs lighter quadrature unless
     told otherwise.  The Filon lattice and its Bessel values at s are built
     once, for the latest time, and every time uses its own part of them.
+    Raises DomainError as linear_norm_radial does, before building anything.
     """
     from .analysis import NormSeries
 
-    kwargs.setdefault("rtol", 1e-5)
-    kwargs.setdefault("pts_per_period", 12)
-    kwargs.setdefault("log_pts_per_decade", 60)
+    kwargs = {"rtol": 1e-5, "pts_per_period": 12, "log_pts_per_decade": 60} | kwargs
     if kwargs.get("xi_max") is None:
         kwargs["xi_max"] = _default_xi_max(v0_hat, v1_hat)
-    xi_max = kwargs["xi_max"]
-    xi_split = min((_split(float(profile.Lambda_at(t)), xi_max) for t in times),
-                   default=xi_max)
-    store = None
-    if xi_max > xi_split * (1.0 + 1e-12):
-        store = NodeStore(mu, profile, _lattice(xi_max, kwargs["pts_per_period"],
-                                                kwargs["log_pts_per_decade"], xi_split))
-        store.node(s).evaluate()
+    _check_rule(n, **kwargs)
+    store = _filon_store(mu, profile, times, kwargs["xi_max"], kwargs["pts_per_period"],
+                         kwargs["log_pts_per_decade"])
+    if store is not None:
+        store.prefetch([s])
     rows = [linear_norm_radial(mu, profile, v0_hat, v1_hat, t, n=n, s=s,
                                _lattice_store=store, **kwargs)
             for t in times]

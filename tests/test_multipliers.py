@@ -293,14 +293,18 @@ def test_dedup_exact_degenerate_shapes(xi):
 
 
 @pytest.mark.parametrize("mu, prof", [(4.0, CONST), (3.0, POLY), (0.6, EXPO)])
-def test_store_matches_reference_across_pairs(mu, prof):
+def test_store_matches_reference_across_pairs(mu, prof, bessel_points):
     # repeats, a zero mode, and |xi| crossing Lambda(t)|xi| = 1 between the
     # times, so nodes serve pairs with different extended prefixes
     xi = np.concatenate([[0.0], np.geomspace(0.05, 20.0, 300), [0.5, 0.5, 0.0]])
     store = mp.NodeStore(mu, prof, xi)
     times = [0.0, 0.3, 0.6, 0.6, 0.9, 1.5, 3.0, 3.5]
     for s, t in [*zip(times, times[1:]), (0.3, 3.5), (0.9, 1.5)]:
+        calls = bessel_points[1]
         got = mp.phi_values_grid(mu, prof, s, t, xi, store=store)
+        # what a pair's nodes lack, both of them fresh for the first pair,
+        # costs at most one Bessel call per precision
+        assert bessel_points[1] - calls <= 2
         for g, r in zip(got, _undeduplicated(mu, prof, s, t, xi)):
             assert np.array_equal(g, r)
         assert len(store.nodes) <= mp.NodeStore.MAX_NODES
@@ -314,6 +318,10 @@ def test_prefetched_nodes_serve_pairs_in_any_order(mu, prof, bessel_points):
     store = mp.NodeStore(mu, prof, xi)
     store.prefetch([0.0, 0.15, 0.3, 0.6, 0.9, 1.5, 2.1])
     assert bessel_points[1] == 2
+    # no times: nothing is evaluated and every node is kept
+    held = dict(store.nodes)
+    store.prefetch([])
+    assert store.nodes == held and bessel_points[1] == 2
     # a step's end before its midpoint, and two pairs taken in reverse
     pairs = [(0.15, 0.3), (0.0, 0.15), (1.5, 2.1), (0.9, 1.5), (0.6, 0.9), (0.3, 0.6)]
     got = [mp.phi_values_grid(mu, prof, s, t, xi, store=store) for s, t in pairs]

@@ -16,6 +16,13 @@ def zero_spec(xi):
     return np.zeros_like(xi)
 
 
+def _nodes(Lam, xi_max, pts_per_period, log_pts_per_decade):
+    """The nodes of a standalone call at Lambda(t) = Lam, on its own lattice."""
+    lattice = radial._lattice(xi_max, pts_per_period, log_pts_per_decade,
+                              radial._split(Lam, xi_max))
+    return radial._nodes(Lam, xi_max, log_pts_per_decade, lattice)
+
+
 def test_data_norm_reproduced_at_t_zero():
     g = radial.gaussian_spectrum(1.0, 1.0)
     # n = 1: ||v||^2 = (1/pi) int_0^inf e^{-xi^2} dxi = sqrt(pi)/(2 pi)
@@ -54,6 +61,35 @@ def test_zero_spectra():
     g = radial.gaussian_spectrum(1.0, 1.0)
     r = radial.linear_norm_radial(2.0, CONST, g, g, 3.0, xi_max=1e-13)
     assert r.l2 == 0.0 and r.energy == 0.0
+    r = radial.linear_norm_radial(2.0, CONST, g, g, 3.0, xi_max=0.0)
+    assert r.l2 == 0.0 and r.energy == 0.0
+
+
+@pytest.mark.parametrize("call, kwargs, match", [
+    ("norm", {"n": 4}, "n must be 1, 2 or 3"),
+    ("series", {"n": 0}, "n must be 1, 2 or 3"),
+    ("norm", {"xi_max": -1.0}, "xi_max must be a non-negative finite"),
+    ("series", {"xi_max": math.inf}, "xi_max must be a non-negative finite"),
+    ("norm", {"xi_max": math.nan}, "xi_max must be a non-negative finite"),
+    ("norm", {"pts_per_period": 0}, "pts_per_period must be a positive finite"),
+    ("series", {"log_pts_per_decade": 0}, "log_pts_per_decade must be a positive finite"),
+    ("norm", {"rtol": math.nan}, "rtol must be a non-negative finite"),
+    ("zones", {"n": 4}, "n must be 1, 2 or 3"),
+])
+def test_bad_arguments_raise_before_a_lattice_is_built(call, kwargs, match, monkeypatch):
+    def no_lattice(*args):
+        raise AssertionError("a lattice was built")
+
+    monkeypatch.setattr(radial, "_lattice", no_lattice)
+    g = radial.gaussian_spectrum(1.0, 1.0)
+    with pytest.raises(DomainError, match=match):
+        if call == "norm":
+            radial.linear_norm_radial(4.0, CONST, g, g, 10.0, **kwargs)
+        elif call == "series":
+            radial.linear_decay_series(4.0, CONST, g, g, [1.0, 100.0], **kwargs)
+        else:
+            spec = multipliers.ZoneSampleSpec(t_max=10.0, **kwargs)
+            multipliers.certify_zone_bounds(4.0, CONST, 1.5, spec)
 
 
 def test_too_coarse_rule_raises():
@@ -65,7 +101,7 @@ def test_too_coarse_rule_raises():
 
 @pytest.mark.parametrize("Lam, xi_max", [(5.0, 8.0), (1.0e3, 8.0), (1.0, 0.5), (1.0e-3, 8.0)])
 def test_rule_nodes_and_nested_weights(Lam, xi_max):
-    log_xi, lo, zone = radial._nodes(Lam, xi_max, 12, 60)
+    log_xi, lo, zone = _nodes(Lam, xi_max, 12, 60)
     log_w, smooth, wave = radial._weights(log_xi, zone, 1, 0.0)
     xi = np.concatenate([log_xi[:log_w.shape[1]], zone])
     fine, coarse = np.concatenate([log_w, smooth], axis=1)
@@ -95,9 +131,9 @@ def test_rule_nodes_and_nested_weights(Lam, xi_max):
 def test_lattice_does_not_depend_on_t():
     late = radial._lattice(8.0, 12, 60, 16.0 / 1.0e4)
     for Lam in (2.0, 30.0, 1.0e3, 1.0e4):
-        log_xi, lo, zone = radial._nodes(Lam, 8.0, 12, 60)
+        log_xi, lo, zone = _nodes(Lam, 8.0, 12, 60)
         assert np.array_equal(zone, late[-zone.size:])
-        assert radial._nodes(Lam, 8.0, 12, 60, late)[1] == late.size - zone.size
+        assert radial._nodes(Lam, 8.0, 60, late)[1] == late.size - zone.size
         # the fine and coarse rules nest on the zone: 1 mod 4 nodes
         assert zone.size % 4 == 1
 
@@ -114,7 +150,7 @@ def test_filon_rows_integrate_quadratics_exactly(Lam):
     # at these rates every panel advances its phase by more than
     # _SLOW_PHASE, so both rows are Filon's rule and integrate a quadratic
     # times e^{i omega xi} exactly
-    zone = radial._nodes(Lam, 8.0, 12, 60)[2]
+    zone = _nodes(Lam, 8.0, 12, 60)[2]
     omega = 2.0 * (Lam - 1.0)
     steps = np.diff(zone)
     assert omega * steps.min() >= radial._SLOW_PHASE
@@ -202,7 +238,7 @@ def test_filon_route_matches_dense_simpson(mu, profile, n, s, t, data):
     # at rtol 1e-8 the log zone's own coarse error fails the gap check for
     # n = 2, 3 (as with the uniform zone); the rule certifies ~2 rtol
     r = radial.linear_norm_radial(mu, profile, v0_hat, v1_hat, t, n=n, s=s, rtol=1e-7)
-    assert radial._nodes(float(profile.Lambda_at(t)), xi_max, 24, 120)[2].size
+    assert _nodes(float(profile.Lambda_at(t)), xi_max, 24, 120)[2].size
     assert r.l2 == pytest.approx(ref[0], rel=2e-7)
     assert r.energy == pytest.approx(ref[1], rel=2e-7)
 
@@ -257,7 +293,7 @@ def test_series_evaluates_sigma_once_through_the_module_bindings(bessel_points, 
     lattice = radial._lattice(xi_max, 12, 60, 16.0 / CONST.Lambda_at(times[-1]))
     per_time = 0
     for t in times:
-        log_xi, lo, zone = radial._nodes(CONST.Lambda_at(t), xi_max, 12, 60, lattice)
+        log_xi, lo, zone = radial._nodes(CONST.Lambda_at(t), xi_max, 60, lattice)
         per_time += 2 * (log_xi.size - 1) + (1 if t in phase_times else 2) * zone.size
     assert inside[0] == per_time and bessel_points[0] == lattice.size + per_time
     # the same numbers as standalone calls, which evaluate sigma themselves
@@ -279,7 +315,7 @@ def test_grid_run_matches_radial_series():
     v0 = radial.gaussian_spectrum(math.sqrt(2.0 * math.pi), 1.0)
     settings = {"rtol": 1e-9, "pts_per_period": 48, "log_pts_per_decade": 240}
     xi_max = radial._default_xi_max(v0, zero_spec)
-    assert radial._nodes(51.0, xi_max, 48, 240)[2][0] < 0.5
+    assert _nodes(51.0, xi_max, 48, 240)[2][0] < 0.5
     series = radial.linear_decay_series(4.0, cfg.profile, v0, zero_spec, grid_series.times,
                                         **settings)
     for name, bound in (("L2", 1e-9), ("energy", 5e-9)):

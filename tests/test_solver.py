@@ -355,11 +355,15 @@ def test_radial_norm_evaluates_every_node(bessel_points, monkeypatch):
                               pts_per_period=12, log_pts_per_decade=60)
     # one multiplier evaluation per zone serves both resolutions; quadrature
     # nodes are distinct and the junction of the zones is evaluated once, by
-    # the Filon zone; one Bessel call per node at sigma and one at tau, each
+    # the Filon zone; one Bessel point per node at sigma and one at tau, each
     # returning both orders
     assert calls == {"log": 1, "filon": 1}
     assert nodes["log"] > 0 and nodes["filon"] > 0
     assert bessel_points[0] == 2 * (nodes["log"] + nodes["filon"])
+    # a zone evaluates sigma and tau together, in one call per precision: at
+    # s = 0 the log zone lies below sigma = 1 (longdouble), the Filon zone
+    # above it (float64)
+    assert bessel_points[1] == 2
 
 
 @pytest.mark.parametrize("mu, prof", [(4.0, CONST), (3.0, profiles.polynomial_profile(2.0))])
