@@ -34,15 +34,13 @@ from dataclasses import dataclass, field
 from . import profiles as _profiles
 from .analysis import WINDOW_FRACTION
 from .errors import DomainError, ResourceCapError, ValidationError
-from .multipliers import DEFAULT_K, _check_orders
+from .multipliers import _NON_NEGATIVE, _POSITIVE, DEFAULT_K, _check_orders
 from .solver import Grid, NonlinearitySpec, WeightedNormSpec
 
 # the default of a key that must be given
 REQUIRED = object()
 
 _FINITE = (math.isfinite, "finite")
-_POSITIVE = (lambda v: 0.0 < v < math.inf, "a positive finite number")
-_NON_NEGATIVE = (lambda v: 0.0 <= v < math.inf, "a non-negative finite number")
 _AT_LEAST_ONE = (lambda v: v >= 1, "at least 1")
 
 # effective support radius of the data kinds, in units of the width

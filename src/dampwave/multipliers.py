@@ -67,6 +67,20 @@ def _sphere_area(n):
     return SPHERE_AREA[n]
 
 
+# argument rules (test, what it asks for), shared with the config tables
+_POSITIVE = (lambda v: 0.0 < v < math.inf, "a positive finite number")
+_NON_NEGATIVE = (lambda v: 0.0 <= v < math.inf, "a non-negative finite number")
+_UNIT = (lambda v: 0.0 < v < 1.0, "in (0, 1)")
+
+
+def _check_fields(fields):
+    """Raise DomainError for the first (name, value, rule) whose value
+    fails its rule."""
+    for name, value, (ok, what) in fields:
+        if not ok(value):
+            raise DomainError(f"{name} must be {what}, got {value!r}")
+
+
 def rho_of(mu):
     """Bessel order rho = (1 - mu)/2 attached to damping strength mu."""
     return (1.0 - mu) / 2.0
@@ -418,8 +432,7 @@ class Zone(enum.Enum):
 
 def classify_zone(K, profile, s, t, xi):
     """Zone of |xi|; boundary frequencies go to the lower-indexed zone."""
-    if not 0.0 < K < 1.0:
-        raise DomainError("K must lie in (0, 1)")
+    _check_fields([("K", K, _UNIT)])
     if not (0.0 <= s <= t):
         raise DomainError("need 0 <= s <= t")
     if xi >= K / profile.Lambda_at(s):
@@ -492,13 +505,22 @@ def certify_zone_bounds(mu, profile, m, spec=None):
     lambda(t) Lambda(t)^(-mu/2) Lambda(s)^(mu/2) for mu < 2.
     Reports max ratios per family; a family certifies as stable when its max
     over the largest t-decade stays within 10x the decade median.  Raises
-    DomainError for m outside [1, 2], and for spec.n outside 1..3 if m < 2.
+    DomainError before sampling for m outside [1, 2] and for a spec with
+    n outside 1..3, K outside (0, 1), t_max <= t_min, or a field that is
+    not finite or below its range: t_min, both densities and both caps
+    > 0, low_decades and every s >= 0.
     """
     spec = spec or ZoneSampleSpec()
     if not 1.0 <= m <= 2.0:
         raise DomainError("m must lie in [1, 2]")
     n = spec.n
-    area = None if m == 2.0 else _sphere_area(n)
+    area = _sphere_area(n)
+    fields = [("K", spec.K, _UNIT), ("low_decades", spec.low_decades, _NON_NEGATIVE)]
+    fields += [(name, getattr(spec, name), _POSITIVE) for name in (
+        "t_min", "t_max", "t_per_decade", "xi_per_decade", "xi_cap", "tau_cap")]
+    _check_fields(fields + [("s_values", s, _NON_NEGATIVE) for s in spec.s_values])
+    if not spec.t_min < spec.t_max:
+        raise DomainError(f"t_max must exceed t_min, got {spec.t_max!r} <= {spec.t_min!r}")
     K = spec.K
     q = math.inf if m == 2.0 else 1.0 / (1.0 / m - 0.5)
     notes = []

@@ -7,27 +7,28 @@ norms into one-dimensional radial integrals
     ||v||_L2^2     = (2 pi)^-n area(S^{n-1}) Int |vhat|^2 xi^{n-1} dxi,
     energy^2       = ... Int (lambda^2 xi^2 |vhat|^2 + |vthat|^2) xi^{n-1} dxi.
 
-No spatial grid appears.  The integrand oscillates like e^{2i Lambda(t) xi},
-so each output time splits [0, xi_max] in two zones:
+No spatial grid appears.  Every output time integrates on a suffix of one
+lattice of nodes that does not depend on t: log-spaced below min(1, xi_max)
+down to its xi_lo, uniform above xi = 1.  The integrand oscillates like
+e^{2i Lambda(t) xi}, so the suffix splits in two:
 
-* a log zone up to tau = Lambda(t) xi = 16 (or xi = 1), where the
-  propagator entries come from ``phi_values_grid`` and Simpson's rule in
-  log(xi) integrates |vhat|^2;
-* a Filon zone above it, on a lattice of nodes that does not depend on t.
-  There ``phase_factors`` gives every entry as Im[W e^{i phi}] with W slowly
-  varying and phi = (Lambda(t) - Lambda(s)) xi, so |vhat|^2 =
-  E0 + Re(E2 e^{2i phi}) with E0, E2 smooth: Simpson's rule integrates E0
-  and Filon's rule (Filon 1928; Iserles & Norsett 2005) integrates the
-  oscillation in closed form.  The node count per output time is then
-  bounded as t grows, instead of growing like Lambda(t).  Where tau has not
-  passed the Bessel orders on the whole zone, or the phase advances too
-  little per panel to need Filon's rule, the zone's nodes join the log
-  zone's and Simpson's rule integrates |vhat|^2 itself.
+* below tau = Lambda(t) xi = 16 (or xi = 1) the propagator entries come
+  from ``phi_values_grid`` and Simpson's rule on unequal steps integrates
+  |vhat|^2;
+* above it, the Filon zone, ``phase_factors`` gives every entry as
+  Im[W e^{i phi}] with W slowly varying and phi = (Lambda(t) - Lambda(s)) xi,
+  so |vhat|^2 = E0 + Re(E2 e^{2i phi}) with E0, E2 smooth: the same Simpson
+  rule integrates E0 and Filon's rule (Filon 1928; Iserles & Norsett 2005)
+  integrates the oscillation in closed form.  The node count per output
+  time is then bounded as t grows, instead of growing like Lambda(t).
+  Where tau has not passed the Bessel orders on the whole zone, or the
+  phase advances too little per panel to need Filon's rule, the zone takes
+  no phase form and Simpson's rule integrates |vhat|^2 there too.
 
-Each zone carries a fine rule on every node and a coarse one on the
-even-indexed nodes; a disagreement beyond the tolerance raises
-QuadratureError.  ``linear_decay_series`` builds the lattice and its Bessel
-values at s once, so each output time evaluates only the tau side.
+The rule is a fine one on every node and a coarse one on the even-indexed
+nodes; a disagreement beyond the tolerance raises QuadratureError.
+``linear_decay_series`` builds the lattice and its Bessel values at s
+once, so the Filon zone of each output time evaluates only the tau side.
 """
 
 from __future__ import annotations
@@ -37,17 +38,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _NON_NEGATIVE, _POSITIVE
 from .errors import DomainError, QuadratureError
-from .multipliers import (DEFAULT_K, NodeStore, _sphere_area, phase_factors, phi_values_grid,
-                          rho_of)
+from .multipliers import (_NON_NEGATIVE, _POSITIVE, DEFAULT_K, NodeStore, _check_fields,
+                          _sphere_area, phase_factors, phi_values_grid, rho_of)
 
-# The log zone ends at tau = Lambda(t) xi = 16, where specfun's Hankel
-# expansion takes over and H+(tau) e^{-i tau} is smooth in log(xi).  Ending
-# it at tau = 30 leaves ~11 coarse log-zone nodes per period at its top,
-# and their error decides the fine-coarse gap: mu = 3 at rtol 1e-8 then
-# raised from t = 100 on, and the worst error against dense references
-# over mu in {1.5, 3, 4} was 8e-8 (3.4e-8 with 16).
+# The Filon zone starts at tau = Lambda(t) xi = 16, where specfun's Hankel
+# expansion takes over and H+(tau) e^{-i tau} is smooth in log(xi).
+# Starting it at tau = 30 leaves ~11 coarse log-spaced nodes per period
+# below it, and their error decides the fine-coarse gap: mu = 3 at rtol
+# 1e-8 then raised from t = 100 on, and the worst error against dense
+# references over mu in {1.5, 3, 4} was 8e-8 (3.4e-8 with 16; both measured
+# with a per-time log grid of the same density).
 _TAU_SPLIT = 16.0
 
 # Panels whose phase advances by less than this per step use Simpson's rule
@@ -86,37 +87,31 @@ class RadialNorms:
     t: float
 
 
-def _simpson_rows(m):
-    """(fine, coarse) Simpson weights, shape (2, m), for m = 1 mod 4 uniform
-    points on [0, 1]; the coarse row uses the even-indexed points."""
-    rows = np.zeros((2, m))
-    for row, step in zip(rows, (1, 2)):
-        nodes = row[::step]  # a view: 1, 4, 2, ..., 4, 1 times the step
-        nodes[:] = 2.0 * step
-        nodes[1::2] = 4.0 * step
-        nodes[[0, -1]] = step
-    return rows / (3.0 * (m - 1))
+def _bounds(Lam, xi_max):
+    """(xi_lo, xi_split) of an output time at Lambda(t) = Lam: its nodes
+    start at or below xi_lo, its Filon zone at or below xi_split.  xi_lo
+    lies 4 decades below K/Lambda(t), so the rule resolves the structure at
+    low frequency, and at most at xi_split; xi_split is where tau =
+    Lambda(t) xi = _TAU_SPLIT, at most 1 and xi_max."""
+    xi_split = min(_TAU_SPLIT / Lam, 1.0, xi_max)
+    xi_lo = max(xi_max * 1e-12, (DEFAULT_K / Lam) * 1e-4, 1e-12)
+    return min(xi_lo, xi_split), xi_split
 
 
-def _split(Lam, xi_max):
-    """Top of the log zone: tau < _TAU_SPLIT and xi <= 1 below it."""
-    return min(_TAU_SPLIT / Lam, 1.0, xi_max)
-
-
-def _zone_start(lattice, xi_split):
-    """Index of the Filon zone's first node in an ascending lattice that ends
-    at xi_max: the nearest node at or below xi_split whose distance from the
-    top is a multiple of 4 nodes, so the even-indexed nodes nest."""
-    above = lattice.size - int(np.searchsorted(lattice, xi_split, side="right"))
+def _zone_start(lattice, xi):
+    """Index of the nearest node at or below xi in an ascending lattice that
+    ends at xi_max, whose distance from the top is a multiple of 4 nodes, so
+    that the even-indexed nodes from it on nest."""
+    above = lattice.size - int(np.searchsorted(lattice, xi, side="right"))
     return lattice.size - 1 - 4 * -(-above // 4)
 
 
-def _lattice(xi_max, pts_per_period, log_pts_per_decade, xi_split):
-    """The Filon zone's nodes, ascending, from ``_zone_start`` to xi_max.
+def _lattice(xi_max, pts_per_period, log_pts_per_decade, xi_lo):
+    """The rule's nodes, ascending, from ``_zone_start`` at xi_lo to xi_max.
 
     The lattice does not depend on t: above xi = 1 a uniform step of at most
     pi/(8 pts_per_period), below it 2 log_pts_per_decade nodes per decade
-    down from min(1, xi_max).  A smaller xi_split extends it downward and
+    down from min(1, xi_max).  A smaller xi_lo extends it downward and
     leaves every node above unchanged, so a series builds it once for its
     latest time and each time uses a suffix.
     """
@@ -127,43 +122,19 @@ def _lattice(xi_max, pts_per_period, log_pts_per_decade, xi_split):
     else:
         top = np.array([xi_max])
     per_decade = 2 * log_pts_per_decade
-    below = max(0, math.ceil(per_decade * math.log10(top[0] / xi_split))) + 4
+    decades = math.log10(top[0] / xi_lo) if top[0] > xi_lo else 0.0
+    below = math.ceil(per_decade * decades) + 4
     tail = top[0] * 10.0 ** (-np.arange(below, 0, -1) / per_decade)
     lattice = np.concatenate([tail, top])
-    return lattice[_zone_start(lattice, xi_split):]
+    return lattice[_zone_start(lattice, xi_lo):]
 
 
-def _filon_store(mu, profile, times, xi_max, pts_per_period, log_pts_per_decade):
-    """NodeStore of (mu, profile) on the ``_lattice`` that reaches the split
-    of each of ``times``, or None when none of them has a Filon zone."""
-    xi_split = min((_split(float(profile.Lambda_at(t)), xi_max) for t in times),
-                   default=xi_max)
-    if xi_max > xi_split * (1.0 + 1e-12):
-        return NodeStore(mu, profile,
-                         _lattice(xi_max, pts_per_period, log_pts_per_decade, xi_split))
-    return None
-
-
-def _nodes(Lam, xi_max, log_pts_per_decade, lattice):
-    """The nodes of one output time: (log_xi, lo, zone).
-
-    ``zone`` = lattice[lo:] is the Filon zone, empty without one, and
-    ``lattice`` (None when no time has a zone) reaches this time's split.
-    ``log_xi`` is the log zone, m = 1 mod 4 nodes from xi_lo up to the first
-    Filon node or to xi_max; the junction node belongs to both zones.
-    """
-    xi_split = _split(Lam, xi_max)
-    lo, zone = 0, np.empty(0)
-    if xi_max > xi_split * (1.0 + 1e-12):
-        lo = _zone_start(lattice, xi_split)
-        zone = lattice[lo:]
-    xi_hi = float(zone[0]) if zone.size else xi_split
-    # the log zone resolves the K/Lambda(t) structure at low frequency
-    xi_lo = max(xi_max * 1e-12, (DEFAULT_K / Lam) * 1e-4, 1e-12)
-    if not xi_hi > xi_lo:
-        return np.empty(0), lo, zone
-    count = max(65, int(2 * log_pts_per_decade * math.log10(xi_hi / xi_lo)) + 1)
-    return np.geomspace(xi_lo, xi_hi, count + (1 - count) % 4), lo, zone
+def _rule_store(mu, profile, times, xi_max, pts_per_period, log_pts_per_decade):
+    """NodeStore of (mu, profile) on the ``_lattice`` that reaches the xi_lo
+    of each of ``times``."""
+    xi_lo = min((_bounds(float(profile.Lambda_at(t)), xi_max)[0] for t in times),
+                default=xi_max)
+    return NodeStore(mu, profile, _lattice(xi_max, pts_per_period, log_pts_per_decade, xi_lo))
 
 
 def _lagrange(a, b, m0, m1, m2):
@@ -186,17 +157,17 @@ def _filon_moments(a, b, omega):
     return m0, m1, m2
 
 
-def _panel_rows(x, omega):
+def _panel_rows(x, omega, start):
     """(smooth, wave): (fine, coarse) weights, each of shape (2, x.size), for
     the integrals of f(x) and of f(x) e^{i omega x} over [x[0], x[-1]], f
     smooth and x.size = 1 mod 4.
 
     Fine panels are consecutive node pairs, coarse ones pairs of the
     even-indexed nodes.  ``smooth`` is Simpson's rule on unequal steps.  In
-    ``wave``, panels whose phase advances by at least _SLOW_PHASE per step get
-    Filon's rule (Filon 1928): f quadratic through the panel's three nodes,
-    times e^{i omega x}, integrated exactly; the others get Simpson's rule
-    applied to f e^{i omega x}.
+    ``wave``, panels from node ``start`` on whose phase advances by at least
+    _SLOW_PHASE per step get Filon's rule (Filon 1928): f quadratic through
+    the panel's three nodes, times e^{i omega x}, integrated exactly; the
+    others get Simpson's rule applied to f e^{i omega x}.
     """
     smooth = np.zeros((2, x.size))
     wave = np.zeros((2, x.size), dtype=complex)
@@ -208,7 +179,8 @@ def _panel_rows(x, omega):
         # the moments of 1, u and u^2 over [-a, b]
         simpson = _lagrange(a, b, a + b, (b * b - a * a) / 2.0, (b**3 + a**3) / 3.0)
         weights = [w * turns[e] for w, e in zip(simpson, ends)]
-        fast = abs(omega) * np.maximum(a, b) >= _SLOW_PHASE
+        fast = (abs(omega) * np.maximum(a, b) >= _SLOW_PHASE) & (
+            np.arange(0, x.size - 1, 2 * step) >= start)
         if np.any(fast):
             af, bf = a[fast], b[fast]
             turn = turns[ends[1]][fast]
@@ -220,34 +192,21 @@ def _panel_rows(x, omega):
     return smooth, wave
 
 
-def _weights(log_xi, zone, n, omega):
-    """(fine, coarse) weights of one output time: (log, smooth, wave).
+def _weights(xi, k, n, omega):
+    """(smooth, wave): the (fine, coarse) weights of one output time on its
+    nodes xi, with the phase form on xi[k:] (none for k = xi.size).
 
-    ``log`` weighs |vhat|^2 on the log nodes, the junction excluded when a
-    Filon zone follows.  On the Filon nodes ``smooth`` (Simpson) weighs E0
-    and ``wave`` (Filon, at frequency omega = 2 d(phi)/dxi) weighs E2, with
-    the log zone's weight on the junction folded into both, as |vhat|^2 =
-    E0 + Re(E2 e^{i omega xi}) there.  Where no panel's phase advances by
-    _SLOW_PHASE, ``wave`` is None: every panel is Simpson's, and ``smooth``
-    weighs |vhat|^2 itself.  The log zone's rule is Simpson's in log(xi):
-    int f dxi = int f xi dlog(xi); the integrand tends to a constant below
-    xi_lo = log_xi[0], so [0, xi_lo] adds f(xi_lo) xi_lo / n.
+    ``smooth`` (Simpson's rule on unequal steps) weighs |vhat|^2 on xi[:k]
+    and E0 on xi[k:]; ``wave``, of shape (2, xi.size - k), weighs E2 (Filon's
+    rule at frequency omega = 2 d(phi)/dxi).  The panels below xi[k] are
+    Simpson's in both rows, which folds their weight on xi[k] into E0 and
+    E2, as |vhat|^2 = E0 + Re(E2 e^{i omega xi}) there.  The integrand tends
+    to f(xi[0]) (xi / xi[0])^(n-1) below xi[0], so [0, xi[0]] adds
+    f(xi[0]) xi[0] / n.
     """
-    log = np.zeros((2, 0))
-    if log_xi.size:
-        log = _simpson_rows(log_xi.size) * (math.log(log_xi[-1] / log_xi[0]) * log_xi)
-        log[:, 0] += log_xi[0] / n
-    if not zone.size:
-        return log, np.zeros((2, 0)), None
-    smooth, wave = _panel_rows(zone, omega)
-    if abs(omega) * float(np.max(np.diff(zone[::2]))) < _SLOW_PHASE:
-        wave = None
-    if log.size:
-        smooth[:, 0] += log[:, -1]
-        if wave is not None:
-            wave[:, 0] += log[:, -1] * np.exp(1j * omega * zone[0])
-        log = log[:, :-1]
-    return log, smooth, wave
+    smooth, wave = _panel_rows(xi, omega, k)
+    smooth[:, 0] += xi[0] / n
+    return smooth, wave[:, k:]
 
 
 def _integrands(lam, xi, n, vh2, vth2):
@@ -269,12 +228,9 @@ def _check_rule(n, xi_max, rtol, pts_per_period, log_pts_per_decade):
     """Raise DomainError unless n is 1, 2 or 3, xi_max and rtol are finite
     and >= 0, and both densities are finite and > 0."""
     _sphere_area(n)
-    for name, value, (ok, what) in (
-            ("xi_max", xi_max, _NON_NEGATIVE), ("rtol", rtol, _NON_NEGATIVE),
-            ("pts_per_period", pts_per_period, _POSITIVE),
-            ("log_pts_per_decade", log_pts_per_decade, _POSITIVE)):
-        if not ok(value):
-            raise DomainError(f"{name} must be {what}, got {value!r}")
+    _check_fields([("xi_max", xi_max, _NON_NEGATIVE), ("rtol", rtol, _NON_NEGATIVE),
+                   ("pts_per_period", pts_per_period, _POSITIVE),
+                   ("log_pts_per_decade", log_pts_per_decade, _POSITIVE)])
 
 
 def linear_norm_radial(mu, profile, v0_hat, v1_hat, t, n=1, s=0.0,
@@ -285,63 +241,68 @@ def linear_norm_radial(mu, profile, v0_hat, v1_hat, t, n=1, s=0.0,
     ``v0_hat``/``v1_hat`` are callables returning the (possibly complex)
     radial spectral amplitudes.  ``xi_max`` defaults to where a Gaussian-type
     profile has decayed to ~1e-15 of its peak, probed numerically.
-    ``log_pts_per_decade`` sets the coarse rule's density in log(xi) and
-    ``pts_per_period`` the Filon zone's uniform step above xi = 1,
+    ``log_pts_per_decade`` sets the coarse rule's density in log(xi) below
+    xi = 1 and ``pts_per_period`` the lattice's uniform step above it,
     pi/(8 pts_per_period); the fine rule, whose value is returned, has twice
     that density on the same nodes.  ``_lattice_store`` is a series'
-    ``_filon_store``, which its times share.  Raises DomainError unless n is
+    ``_rule_store``, which its times share.  Raises DomainError unless n is
     1, 2 or 3, xi_max and rtol are >= 0 and both densities > 0, all finite.
     """
     if xi_max is None:
         xi_max = _default_xi_max(v0_hat, v1_hat)
     _check_rule(n, xi_max, rtol, pts_per_period, log_pts_per_decade)
     Lam = float(profile.Lambda_at(t))
-    store = _lattice_store or _filon_store(mu, profile, [t], xi_max, pts_per_period,
-                                           log_pts_per_decade)
-    log_xi, lo, zone = _nodes(Lam, xi_max, log_pts_per_decade,
-                              None if store is None else store.nonzero)
-    if not (log_xi.size or zone.size):
+    xi_lo, xi_split = _bounds(Lam, xi_max)
+    if not xi_max > xi_lo:
         return RadialNorms(l2=0.0, energy=0.0, t=t)
+    store = _lattice_store or _rule_store(mu, profile, [t], xi_max, pts_per_period,
+                                          log_pts_per_decade)
+    lattice = store.nonzero
+    # this time's nodes are lattice[lo:], and the phase form takes
+    # lattice[c:], the Filon zone, once tau has passed the Bessel orders there
+    # and some coarse panel's phase advances by _SLOW_PHASE; below c the
+    # entries themselves give |vhat|^2
+    lo, c = _zone_start(lattice, xi_lo), lattice.size
     omega = 2.0 * (Lam - float(profile.Lambda_at(s)))
-    rho = rho_of(mu)
-    phase = zone.size and Lam * zone[0] >= max(abs(rho), abs(rho - 1.0)) + _TURNING_MARGIN
-    log_w, smooth_w, wave_w = _weights(log_xi, zone, n, omega if phase else 0.0)
+    if xi_max > xi_split * (1.0 + 1e-12):
+        zone = lattice[_zone_start(lattice, xi_split):]
+        rho = rho_of(mu)
+        if (Lam * zone[0] >= max(abs(rho), abs(rho - 1.0)) + _TURNING_MARGIN
+                and abs(omega) * float(np.max(np.diff(zone[::2]))) >= _SLOW_PHASE):
+            c -= zone.size
+    xi = lattice[lo:]
+    smooth_w, wave_w = _weights(xi, c - lo, n, omega)
     lam = float(profile.lambda_at(t))
-    # without the phase form the Filon nodes join the log nodes, and
-    # Simpson's rule integrates |vhat|^2 from the entries themselves
-    xi, weights = log_xi[:log_w.shape[1]], log_w
-    if wave_w is None:
-        xi, weights = np.concatenate([xi, zone]), np.concatenate([log_w, smooth_w], axis=1)
+    p0, p1, d0, d1 = phi_values_grid(mu, profile, s, t, lattice[lo:c])
+    a0, a1 = v0_hat(lattice[lo:c]), v1_hat(lattice[lo:c])
+    smooth = [np.abs(p0 * a0 + p1 * a1) ** 2, np.abs(d0 * a0 + d1 * a1) ** 2]
     sq = np.zeros((2, 2))  # rows (fine, coarse), columns (L2, energy)
-    if xi.size:
-        p0, p1, d0, d1 = phi_values_grid(mu, profile, s, t, xi)
-        a0, a1 = v0_hat(xi), v1_hat(xi)
-        sq += weights @ _integrands(lam, xi, n, np.abs(p0 * a0 + p1 * a1) ** 2,
-                                    np.abs(d0 * a0 + d1 * a1) ** 2)
-    if wave_w is not None:
-        factors = phase_factors(store, s, t, lo)
+    if c < lattice.size:
+        zone = lattice[c:]
+        factors = phase_factors(store, s, t, c)
         a0, a1 = v0_hat(zone), v1_hat(zone)
         # sum_e a_e Im[W_e e^{i phi}] = (A e^{i phi} - B e^{-i phi}) / 2i with
         # A = sum W_e a_e, B = sum conj(W_e) a_e, so its squared modulus is
         # E0 + Re(E2 e^{2i phi}): E0 = (|A|^2 + |B|^2)/4, E2 = -A conj(B)/2
-        smooth, wave = [], []
-        for w_0, w_1 in (factors[:2], factors[2:]):
+        wave = []
+        for i, (w_0, w_1) in enumerate((factors[:2], factors[2:])):
             big_a = w_0 * a0 + w_1 * a1
             big_b = np.conj(w_0) * a0 + np.conj(w_1) * a1
-            smooth.append((np.abs(big_a) ** 2 + np.abs(big_b) ** 2) / 4.0)
+            e0 = (np.abs(big_a) ** 2 + np.abs(big_b) ** 2) / 4.0
+            smooth[i] = np.concatenate([smooth[i], e0])
             wave.append(-0.5 * big_a * np.conj(big_b))
-        sq += smooth_w @ _integrands(lam, zone, n, *smooth)
         sq += (wave_w @ _integrands(lam, zone, n, *wave)).real
+    sq += smooth_w @ _integrands(lam, xi, n, *smooth)
     const = _sphere_area(n) / (2.0 * math.pi) ** n
     fine, coarse = np.sqrt(np.maximum(const * sq, 0.0)).tolist()
     # Simpson's error drops ~16x per refinement, so the coarse-fine gap may
     # legitimately reach ~16x the fine error; certify fine to ~2*rtol.
-    for name, c, f in zip(("L2", "energy"), coarse, fine):
+    for name, rough, f in zip(("L2", "energy"), coarse, fine):
         scale = max(abs(f), 1e-300)
-        if abs(c - f) / scale > max(rtol, 1e-14) * 30.0:
+        if abs(rough - f) / scale > max(rtol, 1e-14) * 30.0:
             raise QuadratureError(
                 f"radial quadrature for {name} did not converge at t={t:g}: "
-                f"coarse={c!r}, fine={f!r}")
+                f"coarse={rough!r}, fine={f!r}")
     return RadialNorms(l2=fine[0], energy=fine[1], t=t)
 
 
@@ -351,9 +312,10 @@ def linear_decay_series(mu, profile, v0_hat, v1_hat, times, n=1, s=0.0,
 
     Slope fitting tolerates far larger point errors than the 1e-8 default
     of linear_norm_radial, so this helper runs lighter quadrature unless
-    told otherwise.  The Filon lattice and its Bessel values at s are built
-    once, for the latest time, and every time uses its own part of them.
-    Raises DomainError as linear_norm_radial does, before building anything.
+    told otherwise.  The lattice and its Bessel values at s are built once,
+    for the latest time, and every time uses a suffix of them.  Raises
+    DomainError as linear_norm_radial does, and for times that are not
+    strictly increasing, before building anything.
     """
     from .analysis import NormSeries
 
@@ -361,10 +323,11 @@ def linear_decay_series(mu, profile, v0_hat, v1_hat, times, n=1, s=0.0,
     if kwargs.get("xi_max") is None:
         kwargs["xi_max"] = _default_xi_max(v0_hat, v1_hat)
     _check_rule(n, **kwargs)
-    store = _filon_store(mu, profile, times, kwargs["xi_max"], kwargs["pts_per_period"],
-                         kwargs["log_pts_per_decade"])
-    if store is not None:
-        store.prefetch([s])
+    if not np.all(np.diff(times) > 0.0):
+        raise DomainError("times must be strictly increasing")
+    store = _rule_store(mu, profile, times, kwargs["xi_max"], kwargs["pts_per_period"],
+                        kwargs["log_pts_per_decade"])
+    store.prefetch([s])
     rows = [linear_norm_radial(mu, profile, v0_hat, v1_hat, t, n=n, s=s,
                                _lattice_store=store, **kwargs)
             for t in times]

@@ -1,4 +1,5 @@
-"""The benchmark's layer tracer finds every name it patches in dampwave."""
+"""The benchmark's layer tracer finds every name it patches in dampwave and
+counts a radial series' calls, nodes and Bessel points."""
 
 import json
 import pathlib
@@ -17,3 +18,37 @@ def test_tracer_finds_every_layer_hook():
     out = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True,
                          text=True, check=True, timeout=120)
     assert json.loads(out.stdout.splitlines()[-1]) == []
+
+
+SERIES_UNDER_TRACER = """
+import json, sys
+sys.path[:0] = ['perfbench', 'src']
+import numpy as np
+from dampwave import multipliers, profiles, radial
+points = [0]
+for name in ('_jy', 'jy_extended'):
+    def counted(nu, tau, fn=getattr(multipliers, name)):
+        points[0] += np.size(tau)
+        return fn(nu, tau)
+    setattr(multipliers, name, counted)
+from layers import Tracer, install, metrics
+tracer = Tracer()
+missing = install(tracer)
+g = radial.gaussian_spectrum(1.0, 1.0)
+radial.linear_decay_series(4.0, profiles.constant_profile(), g, g, [1.0, 10.0, 100.0])
+print(json.dumps({"missing": missing, "points": points[0], "metrics": metrics(tracer)}))
+"""
+
+
+def test_tracer_counts_a_radial_series():
+    # the radial_decay workload reads these counters: one radial call per
+    # output time, its quadrature nodes, and every Bessel point, which the
+    # tracer counts at the multipliers bindings
+    out = subprocess.run([sys.executable, "-c", SERIES_UNDER_TRACER], cwd=ROOT,
+                         capture_output=True, text=True, check=True, timeout=120)
+    report = json.loads(out.stdout.splitlines()[-1])
+    assert report["missing"] == []
+    counted = report["metrics"]
+    assert counted["radial.calls"] == 3
+    assert counted["radial.quad_points"] > 0
+    assert counted["specfun.points"] == report["points"] > 0

@@ -16,11 +16,12 @@ def zero_spec(xi):
     return np.zeros_like(xi)
 
 
-def _nodes(Lam, xi_max, pts_per_period, log_pts_per_decade):
-    """The nodes of a standalone call at Lambda(t) = Lam, on its own lattice."""
-    lattice = radial._lattice(xi_max, pts_per_period, log_pts_per_decade,
-                              radial._split(Lam, xi_max))
-    return radial._nodes(Lam, xi_max, log_pts_per_decade, lattice)
+def _rule(Lam, xi_max, pts_per_period, log_pts_per_decade):
+    """The lattice of a standalone call at Lambda(t) = Lam, the index of the
+    call's first node and that of its Filon zone's first node."""
+    xi_lo, xi_split = radial._bounds(Lam, xi_max)
+    lattice = radial._lattice(xi_max, pts_per_period, log_pts_per_decade, xi_lo)
+    return lattice, radial._zone_start(lattice, xi_lo), radial._zone_start(lattice, xi_split)
 
 
 def test_data_norm_reproduced_at_t_zero():
@@ -63,6 +64,9 @@ def test_zero_spectra():
     assert r.l2 == 0.0 and r.energy == 0.0
     r = radial.linear_norm_radial(2.0, CONST, g, g, 3.0, xi_max=0.0)
     assert r.l2 == 0.0 and r.energy == 0.0
+    # a series on an empty range builds a lattice of xi = 0 alone
+    series = radial.linear_decay_series(2.0, CONST, g, g, [1.0, 3.0], xi_max=0.0)
+    assert not np.any(series.tracks["L2"]) and not np.any(series.tracks["energy"])
 
 
 @pytest.mark.parametrize("call, kwargs, match", [
@@ -75,6 +79,12 @@ def test_zero_spectra():
     ("series", {"log_pts_per_decade": 0}, "log_pts_per_decade must be a positive finite"),
     ("norm", {"rtol": math.nan}, "rtol must be a non-negative finite"),
     ("zones", {"n": 4}, "n must be 1, 2 or 3"),
+    ("series", {"times": [1.0e3, 10.0, 1.0]}, "times must be strictly increasing"),
+    ("zones", {"t_min": 0.0}, "t_min must be a positive finite"),
+    ("zones", {"low_decades": math.nan}, "low_decades must be a non-negative finite"),
+    ("zones", {"K": 2.0}, r"K must be in \(0, 1\)"),
+    ("zones", {"t_min": 20.0}, "t_max must exceed t_min"),
+    ("zones", {"xi_per_decade": 0}, "xi_per_decade must be a positive finite"),
 ])
 def test_bad_arguments_raise_before_a_lattice_is_built(call, kwargs, match, monkeypatch):
     def no_lattice(*args):
@@ -86,9 +96,9 @@ def test_bad_arguments_raise_before_a_lattice_is_built(call, kwargs, match, monk
         if call == "norm":
             radial.linear_norm_radial(4.0, CONST, g, g, 10.0, **kwargs)
         elif call == "series":
-            radial.linear_decay_series(4.0, CONST, g, g, [1.0, 100.0], **kwargs)
+            radial.linear_decay_series(4.0, CONST, g, g, **{"times": [1.0, 100.0]} | kwargs)
         else:
-            spec = multipliers.ZoneSampleSpec(t_max=10.0, **kwargs)
+            spec = multipliers.ZoneSampleSpec(**{"t_max": 10.0} | kwargs)
             multipliers.certify_zone_bounds(4.0, CONST, 1.5, spec)
 
 
@@ -101,41 +111,89 @@ def test_too_coarse_rule_raises():
 
 @pytest.mark.parametrize("Lam, xi_max", [(5.0, 8.0), (1.0e3, 8.0), (1.0, 0.5), (1.0e-3, 8.0)])
 def test_rule_nodes_and_nested_weights(Lam, xi_max):
-    log_xi, lo, zone = _nodes(Lam, xi_max, 12, 60)
-    log_w, smooth, wave = radial._weights(log_xi, zone, 1, 0.0)
-    xi = np.concatenate([log_xi[:log_w.shape[1]], zone])
-    fine, coarse = np.concatenate([log_w, smooth], axis=1)
+    lattice, lo, c = _rule(Lam, xi_max, 12, 60)
+    xi = lattice[lo:]
+    smooth, wave = radial._weights(xi, xi.size, 1, 0.0)
+    fine, coarse = smooth
     # one strictly increasing node set; the coarse rule lives on its even nodes
     assert np.all(np.diff(xi) > 0.0) and xi[-1] == xi_max
     assert np.all(coarse[1::2] == 0.0) and np.all(coarse[::2] > 0.0)
-    # without phase every panel is Simpson's, on |vhat|^2 itself
-    assert wave is None
-    # both rules integrate 1 over [0, xi_max], Jacobian and [0, xi_lo]
-    # included; only the log zone errs, and the coarse rule's twice longer
-    # step makes its Simpson error 16 times the fine one
-    fine_err, coarse_err = fine.sum() / xi_max - 1.0, coarse.sum() / xi_max - 1.0
-    assert abs(fine_err) < 1e-9
+    # without the phase form every panel is Simpson's, on |vhat|^2 itself
+    assert wave.shape == (2, 0)
+    # both rules integrate 1 over [0, xi_max], [0, xi[0]] included
+    assert abs(fine.sum() / xi_max - 1.0) < 1e-9
+    assert abs(coarse.sum() / xi_max - 1.0) < 1e-9
+    # the coarse rule's twice longer step makes its Simpson error 16 times
+    # the fine one on a smooth integrand over [xi[0], xi_max]
+    exact = math.exp(-xi[0]) - math.exp(-xi_max)
+    fine_err, coarse_err = radial._panel_rows(xi, 0.0, xi.size)[0] @ np.exp(-xi) - exact
     assert coarse_err == pytest.approx(16.0 * fine_err, rel=0.1)
-    if zone.size:
-        # the lattice: a uniform step of at most pi/(8 pts_per_period) above
-        # xi = 1 and 2 log_pts_per_decade nodes per decade below
-        steps = np.diff(zone[zone >= 1.0])
-        assert steps.max() <= math.pi / 96.0 and np.ptp(steps) < 1e-12
-        ratios = np.diff(np.log10(zone[zone <= 1.0]))
-        assert np.allclose(ratios, 1.0 / 120.0, rtol=1e-9)
-        # the Filon zone starts at the split, or at most 3 nodes below it
-        split = min(16.0 / Lam, 1.0, xi_max)
-        assert zone[0] <= split < zone[min(4, zone.size - 1)]
+    # the lattice: a uniform step of at most pi/(8 pts_per_period) above
+    # xi = 1 and 2 log_pts_per_decade nodes per decade below
+    steps = np.diff(xi[xi >= 1.0])
+    assert steps.size == 0 or (steps.max() <= math.pi / 96.0 and np.ptp(steps) < 1e-12)
+    ratios = np.diff(np.log10(xi[xi <= 1.0]))
+    assert np.allclose(ratios, 1.0 / 120.0, rtol=1e-9)
+    # the nodes start at xi_lo, the Filon zone at the split, each at most 3
+    # nodes below it
+    xi_lo, split = radial._bounds(Lam, xi_max)
+    assert xi[0] <= xi_lo < xi[4]
+    if split < xi_max:
+        assert lattice[c] <= split < lattice[min(c + 4, lattice.size - 1)]
 
 
 def test_lattice_does_not_depend_on_t():
-    late = radial._lattice(8.0, 12, 60, 16.0 / 1.0e4)
+    late = radial._lattice(8.0, 12, 60, radial._bounds(1.0e4, 8.0)[0])
     for Lam in (2.0, 30.0, 1.0e3, 1.0e4):
-        log_xi, lo, zone = _nodes(Lam, 8.0, 12, 60)
-        assert np.array_equal(zone, late[-zone.size:])
-        assert radial._nodes(Lam, 8.0, 60, late)[1] == late.size - zone.size
-        # the fine and coarse rules nest on the zone: 1 mod 4 nodes
-        assert zone.size % 4 == 1
+        lattice, lo, c = _rule(Lam, 8.0, 12, 60)
+        # a standalone call's lattice is its own nodes, a suffix of the latest
+        assert lo == 0 and np.array_equal(lattice, late[-lattice.size:])
+        xi_lo, xi_split = radial._bounds(Lam, 8.0)
+        assert radial._zone_start(late, xi_lo) == late.size - lattice.size
+        assert radial._zone_start(late, xi_split) == late.size - lattice.size + c
+        # the fine and coarse rules nest on the nodes and on the Filon zone:
+        # 1 mod 4 nodes each
+        assert lattice.size % 4 == 1 and (lattice.size - c) % 4 == 1
+
+
+def test_series_times_are_slices_of_one_lattice(monkeypatch):
+    # each time hands phi_values_grid the nodes below its phase form and
+    # phase_factors the index where that form starts, on the series' store
+    seen = []
+    grid, phase = radial.phi_values_grid, radial.phase_factors
+
+    def grid_nodes(mu, profile, s, t, xi):
+        seen.append([t, xi, None])
+        return grid(mu, profile, s, t, xi)
+
+    def phase_start(store, s, t, lo=0):
+        assert seen[-1][0] == t and seen[-1][2] is None
+        seen[-1][2] = (store.nonzero, lo)
+        return phase(store, s, t, lo)
+
+    monkeypatch.setattr(radial, "phi_values_grid", grid_nodes)
+    monkeypatch.setattr(radial, "phase_factors", phase_start)
+    times = list(np.geomspace(1.0, 1.0e3, 7))
+    radial.linear_decay_series(4.0, CONST, G, H, times)
+    assert [t for t, _, _ in seen] == times
+    xi_max = radial._default_xi_max(G, H)
+    lattice = radial._lattice(xi_max, 12, 60, radial._bounds(CONST.Lambda_at(times[-1]), xi_max)[0])
+    phased = 0
+    for t, low, at in seen:
+        a = int(np.searchsorted(lattice, low[0]))
+        c = a + low.size
+        assert np.array_equal(low, lattice[a:c])
+        if at is None:
+            # without the phase form every node is below it; c is the top
+            assert c == lattice.size
+            c -= 1
+        else:
+            phased += 1
+            assert np.array_equal(at[0], lattice) and at[1] == c
+        assert (lattice.size - 1 - a) % 4 == 0 and (c - a) % 4 == 0
+        assert lattice[a] <= radial._bounds(CONST.Lambda_at(t), xi_max)[0] < lattice[a + 4]
+    # both routes occur: t = 1 is below the turning point
+    assert 0 < phased < len(times)
 
 
 def _antiderivative(x, omega):
@@ -150,12 +208,13 @@ def test_filon_rows_integrate_quadratics_exactly(Lam):
     # at these rates every panel advances its phase by more than
     # _SLOW_PHASE, so both rows are Filon's rule and integrate a quadratic
     # times e^{i omega xi} exactly
-    zone = _nodes(Lam, 8.0, 12, 60)[2]
+    lattice, lo, c = _rule(Lam, 8.0, 12, 60)
+    zone = lattice[c:]
     omega = 2.0 * (Lam - 1.0)
     steps = np.diff(zone)
     assert omega * steps.min() >= radial._SLOW_PHASE
     exact = _antiderivative(zone[-1], omega) - _antiderivative(zone[0], omega)
-    for row in radial._panel_rows(zone, omega)[1]:
+    for row in radial._panel_rows(zone, omega, 0)[1]:
         # to the rounding of the phases omega xi, ~1e-11 at Lambda = 1e4
         terms = row * (1.0 + zone + zone**2)
         phase_eps = 4.0 * np.finfo(float).eps * omega * zone[-1]
@@ -179,6 +238,18 @@ def test_filon_moments_at_the_slow_phase_threshold():
         assert np.all(np.abs(moments[k] - series[k]) <= 1e-12 * 0.02 ** (k + 1))
 
 
+def _simpson_rows(m):
+    """(fine, coarse) Simpson weights, shape (2, m), for m = 1 mod 4 uniform
+    points on [0, 1]; the coarse row uses the even-indexed points."""
+    rows = np.zeros((2, m))
+    for row, step in zip(rows, (1, 2)):
+        nodes = row[::step]  # a view: 1, 4, 2, ..., 4, 1 times the step
+        nodes[:] = 2.0 * step
+        nodes[1::2] = 4.0 * step
+        nodes[[0, -1]] = step
+    return rows / (3.0 * (m - 1))
+
+
 def _simpson_reference(mu, profile, v0_hat, v1_hat, t, n, s, xi_max,
                        pts_per_period=96, log_pts_per_decade=480):
     """The rule the Filon zone replaced, at 4 times its default density: a log
@@ -189,11 +260,11 @@ def _simpson_reference(mu, profile, v0_hat, v1_hat, t, n, s, xi_max,
     xi_lo = max(xi_max * 1e-12, 0.5e-4 / Lam, 1e-12)
     m = int(2 * log_pts_per_decade * math.log10(split / xi_lo)) + 1
     log_xi = np.geomspace(xi_lo, split, m + (1 - m) % 4)
-    log_w = radial._simpson_rows(log_xi.size)[0] * math.log(split / xi_lo) * log_xi
+    log_w = _simpson_rows(log_xi.size)[0] * math.log(split / xi_lo) * log_xi
     log_w[0] += xi_lo / n
     m = max(513, math.ceil((xi_max - split) * Lam * pts_per_period / math.pi) + 1)
     uni_xi = np.linspace(split, xi_max, m + (1 - m) % 4)
-    uni_w = radial._simpson_rows(uni_xi.size)[0] * (xi_max - split)
+    uni_w = _simpson_rows(uni_xi.size)[0] * (xi_max - split)
     sq = np.zeros(2)
     for xi, w in ((log_xi, log_w), (uni_xi, uni_w)):
         p0, p1, d0, d1 = radial.phi_values_grid(mu, profile, s, t, xi)
@@ -238,7 +309,8 @@ def test_filon_route_matches_dense_simpson(mu, profile, n, s, t, data):
     # at rtol 1e-8 the log zone's own coarse error fails the gap check for
     # n = 2, 3 (as with the uniform zone); the rule certifies ~2 rtol
     r = radial.linear_norm_radial(mu, profile, v0_hat, v1_hat, t, n=n, s=s, rtol=1e-7)
-    assert _nodes(float(profile.Lambda_at(t)), xi_max, 24, 120)[2].size
+    lattice, lo, c = _rule(float(profile.Lambda_at(t)), xi_max, 24, 120)
+    assert c < lattice.size - 1
     assert r.l2 == pytest.approx(ref[0], rel=2e-7)
     assert r.energy == pytest.approx(ref[1], rel=2e-7)
 
@@ -286,15 +358,17 @@ def test_series_evaluates_sigma_once_through_the_module_bindings(bessel_points, 
     series = radial.linear_decay_series(4.0, CONST, G, H, times)
     assert calls == times
     # sigma on the whole lattice once, before the first time; per time the
-    # log zone at sigma and tau, and the Filon zone at tau only, or, where
-    # the phase form is not used, at sigma and tau with the log zone
+    # nodes below the phase form at sigma and tau, and the phase form's nodes
+    # at tau only
     assert 0 < len(phase_times) < len(times)
     xi_max = radial._default_xi_max(G, H)
-    lattice = radial._lattice(xi_max, 12, 60, 16.0 / CONST.Lambda_at(times[-1]))
+    lattice = radial._lattice(xi_max, 12, 60, radial._bounds(CONST.Lambda_at(times[-1]), xi_max)[0])
     per_time = 0
     for t in times:
-        log_xi, lo, zone = radial._nodes(CONST.Lambda_at(t), xi_max, 60, lattice)
-        per_time += 2 * (log_xi.size - 1) + (1 if t in phase_times else 2) * zone.size
+        xi_lo, xi_split = radial._bounds(CONST.Lambda_at(t), xi_max)
+        a = radial._zone_start(lattice, xi_lo)
+        c = radial._zone_start(lattice, xi_split) if t in phase_times else lattice.size
+        per_time += 2 * (c - a) + lattice.size - c
     assert inside[0] == per_time and bessel_points[0] == lattice.size + per_time
     # the same numbers as standalone calls, which evaluate sigma themselves
     for t, l2, energy in zip(times, series.tracks["L2"], series.tracks["energy"]):
@@ -315,7 +389,8 @@ def test_grid_run_matches_radial_series():
     v0 = radial.gaussian_spectrum(math.sqrt(2.0 * math.pi), 1.0)
     settings = {"rtol": 1e-9, "pts_per_period": 48, "log_pts_per_decade": 240}
     xi_max = radial._default_xi_max(v0, zero_spec)
-    assert _nodes(51.0, xi_max, 48, 240)[2][0] < 0.5
+    lattice, lo, c = _rule(51.0, xi_max, 48, 240)
+    assert lattice[c] < 0.5
     series = radial.linear_decay_series(4.0, cfg.profile, v0, zero_spec, grid_series.times,
                                         **settings)
     for name, bound in (("L2", 1e-9), ("energy", 5e-9)):
