@@ -27,16 +27,12 @@ _B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
 
 
 def integrate_batch(rhs, x0, x1, y0, rtol=1e-10, atol=1e-12, max_steps=4_000_000):
-    """Advance ``y' = rhs(x, y)`` from x0 to x1 (x1 >= x0).
+    """Advance ``y' = rhs(x, y)`` from x0 to x1 (x1 > x0).
 
     Returns the state at x1.  Raises IntegrationFailureError on step-size
     underflow or step-count exhaustion.
     """
     span = x1 - x0
-    if span < 0.0:
-        raise IntegrationFailureError("backward integration not supported")
-    if span == 0.0:
-        return y0.copy()
     y = np.array(y0, copy=True)
     x = x0
     f0 = rhs(x, y)

@@ -221,9 +221,14 @@ class ExponentReport:
                 "entries": [e.as_dict() for e in self.entries]}
 
 
+def _solution_border(n, m):
+    """mu = n(2/m - 1), the L^m-data solution estimates' borderline damping."""
+    return n * (2.0 / m - 1.0)
+
+
 def _energy_border(n, m):
     """mu = 2 + n(2/m - 1), the L^m-data energy estimates' borderline damping."""
-    return 2.0 + n * (2.0 / m - 1.0)
+    return 2.0 + _solution_border(n, m)
 
 
 def _lm_critical_power(n, m, gamma):

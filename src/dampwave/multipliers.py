@@ -26,8 +26,10 @@ one time node, for the sorted distinct |xi| (NodeStore), then the cross
 products of the nodes at s and t, split by precision in ``_pair_parts``;
 ``_fill`` evaluates the values of any set of nodes in one call per
 precision.  ``phase_factors`` gives the same entries in phase form,
-Im[W e^{i (Lambda(t) - Lambda(s))|xi|}] with W slowly varying in |xi|, for
-quadratures that integrate the phase in closed form.
+Im[W e^{i phi}] with phi = (Lambda(t) - Lambda(s))|xi|, for quadratures that
+integrate the phase in closed form: W is the whole complex cross product
+conj(H+(sigma)) H+(tau), from the same J and Y products, turned by e^{-i phi},
+and varies slowly in |xi|.
 
 The module also provides a brute-force per-mode ODE oracle (independent of
 the special functions), the frequency-zone classifier, and an empirical
@@ -43,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _ode
-from .analysis import _energy_border
+from .analysis import _energy_border, _solution_border
 from .errors import DomainError, UnsupportedOrderError
 from .specfun import _PI, MAX_ORDER, _jy, jy_extended
 
@@ -312,25 +314,18 @@ def _assemble(store, at_s, at_t):
     return tuple(entries)
 
 
-def _stripped(jy, x):
-    """H+_rho(x) e^{-ix} and H+_{rho-1}(x) e^{-ix}, complex128, from
-    (J_rho, Y_rho, J_{rho-1}, Y_{rho-1}) at x, formed in x's precision."""
-    turn = np.exp(-1j * x)
-    return [((j + 1j * y) * turn).astype(complex) for j, y in (jy[:2], jy[2:])]
-
-
 def phase_factors(store, s, t, lo=0):
     """Propagator entries in phase form on the store's nonzero |xi|, from
     index ``lo`` on.
 
     Returns complex factors (W0, W1, Wd0, Wd1) with each entry (phi0, phi1,
     dphi0, dphi1) = Im[W exp(i phi)], phi = (Lambda(t) - Lambda(s))|xi|:
-    W = scale |xi|^k conj(C(sigma)) C(tau) with C(x) = H+(x) e^{-ix}, which
-    carries none of the phase, so W varies slowly in |xi| once tau is past
-    the order.  The store's node at s is kept and serves every t; the tau
-    side is evaluated per call, on a node of its own, with the precision
-    split of ``_pair_parts``.  Raises DomainError unless 0 <= s <= t, and for
-    a phase beyond TAU_MAX.
+    W = scale |xi|^k conj(H+_a(sigma)) H+_b(tau) e^{-i phi}, the cross
+    products of ``_assemble`` with the phase taken out, so W varies slowly
+    in |xi| once tau is past the order.  The store's node at s is kept and
+    serves every t; the tau side is evaluated per call, on a node of its
+    own, with the precision split of ``_pair_parts``.  Raises DomainError
+    unless 0 <= s <= t, and for a phase beyond TAU_MAX.
     """
     if not (0.0 <= s <= t):
         raise DomainError("need 0 <= s <= t")
@@ -338,14 +333,15 @@ def phase_factors(store, s, t, lo=0):
     _check_phases(at_t.args)
     factors = [np.empty(at_t.args.size, dtype=complex) for _ in range(4)]
     terms = _entry_terms(store.rho, at_s.lam, at_s.Lam, at_t.lam, at_t.Lam)
+    turn = np.exp(-1j * (at_t.Lam - at_s.Lam) * store.nonzero[lo:])
     for p_lo, p_hi, at_sigma, at_tau in _pair_parts(store, at_s, at_t, lo):
-        dt = at_sigma[0].dtype
-        c_sigma = _stripped(at_sigma, at_s.args[p_lo:p_hi].astype(dt))
-        c_tau = _stripped(at_tau, at_t.args[p_lo - lo:p_hi - lo].astype(dt))
         x = store.nonzero[p_lo:p_hi]
         out = slice(p_lo - lo, p_hi - lo)
         for w, (scale, power, a, b) in zip(factors, terms):
-            w[out] = (scale * x**power) * (np.conj(c_sigma[a]) * c_tau[b])
+            # conj(J + iY) (J' + iY') = (J J' + Y Y') + i (J Y' - Y J')
+            j, y, j_t, y_t = at_sigma[2 * a], at_sigma[2 * a + 1], at_tau[2 * b], at_tau[2 * b + 1]
+            cross = (j * j_t + y * y_t).astype(float) + 1j * (j * y_t - y * j_t).astype(float)
+            w[out] = (scale * x**power) * cross * turn[out]
     return tuple(factors)
 
 
@@ -504,7 +500,8 @@ def certify_zone_bounds(mu, profile, m, spec=None):
     mu = 2 + n(2/m - 1), and the sub-threshold rate
     lambda(t) Lambda(t)^(-mu/2) Lambda(s)^(mu/2) for mu < 2.
     Reports max ratios per family; a family certifies as stable when its max
-    over the largest t-decade stays within 10x the decade median.  Raises
+    over the largest t-decade stays within 10x the decade median.  The notes
+    name, once each, the L^q templates that (mu, m, n) leaves undefined.  Raises
     DomainError before sampling for m outside [1, 2] and for a spec with
     n outside 1..3, K outside (0, 1), t_max <= t_min, or a field that is
     not finite or below its range: t_min, both densities and both caps
@@ -523,7 +520,13 @@ def certify_zone_bounds(mu, profile, m, spec=None):
         raise DomainError(f"t_max must exceed t_min, got {spec.t_max!r} <= {spec.t_min!r}")
     K = spec.K
     q = math.inf if m == 2.0 else 1.0 / (1.0 / m - 0.5)
+    border_en = _energy_border(n, m)
+    border_sol = _solution_border(n, m)
     notes = []
+    if m < 2.0 and mu < border_sol - 1e-9:
+        notes.append(f"mu={mu:g} < n(2/m-1): no L^q solution template")
+    if m < 2.0 and mu < border_en - 1e-9:
+        notes.append(f"mu={mu:g} < 2+n(2/m-1): no L^q energy template")
     families = {}
 
     def fam(name, template):
@@ -531,8 +534,6 @@ def certify_zone_bounds(mu, profile, m, spec=None):
 
     n_t = max(2, int(spec.t_per_decade * math.log10(spec.t_max / spec.t_min)) + 1)
     t_grid = np.geomspace(spec.t_min, spec.t_max, n_t)
-    border_en = _energy_border(n, m)
-    border_sol = n * (2.0 / m - 1.0)
 
     for s in spec.s_values:
         lam_s = float(profile.lambda_at(s))
@@ -606,8 +607,6 @@ def certify_zone_bounds(mu, profile, m, spec=None):
                     fam("Lq_sol_v0", sol_tpl).samples.append((s, t, lq(p0) / sol_base))
                     fam("Lq_sol_v1", sol_tpl + " * Ls/ls").samples.append(
                         (s, t, lq(p1) / (sol_base * Lam_s / lam_s)))
-                elif not notes or "solution" not in notes[-1]:
-                    notes.append(f"mu={mu:g} < n(2/m-1): no L^q solution template")
 
                 if mu > border_en + 1e-9:
                     en_base = lam_t * Lam_t ** (-n / q - 1.0)
@@ -621,7 +620,5 @@ def certify_zone_bounds(mu, profile, m, spec=None):
                     fam("Lq_en_v0", en_tpl).samples.append((s, t, lq(en0) / en_base))
                     fam("Lq_en_v1", en_tpl + " * Ls/ls").samples.append(
                         (s, t, lq(en1) / (en_base * Lam_s / lam_s)))
-                elif not notes or "energy" not in notes[-1]:
-                    notes.append(f"mu={mu:g} < 2+n(2/m-1): no L^q energy template")
 
     return BoundReport(mu=mu, m=m, n=n, K=K, families=families, notes=notes)

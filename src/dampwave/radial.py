@@ -8,9 +8,9 @@ norms into one-dimensional radial integrals
     energy^2       = ... Int (lambda^2 xi^2 |vhat|^2 + |vthat|^2) xi^{n-1} dxi.
 
 No spatial grid appears.  Every output time integrates on a suffix of one
-lattice of nodes that does not depend on t: log-spaced below min(1, xi_max)
-down to its xi_lo, uniform above xi = 1.  The integrand oscillates like
-e^{2i Lambda(t) xi}, so the suffix splits in two:
+lattice of nodes that does not depend on t: 10 pts_per_period nodes per
+decade below min(1, xi_max) down to its xi_lo, uniform above xi = 1.  The
+integrand oscillates like e^{2i Lambda(t) xi}, so the suffix splits in two:
 
 * below tau = Lambda(t) xi = 16 (or xi = 1) the propagator entries come
   from ``phi_values_grid`` and Simpson's rule on unequal steps integrates
@@ -19,8 +19,8 @@ e^{2i Lambda(t) xi}, so the suffix splits in two:
   Im[W e^{i phi}] with W slowly varying and phi = (Lambda(t) - Lambda(s)) xi,
   so |vhat|^2 = E0 + Re(E2 e^{2i phi}) with E0, E2 smooth: the same Simpson
   rule integrates E0 and Filon's rule (Filon 1928; Iserles & Norsett 2005)
-  integrates the oscillation in closed form.  The node count per output
-  time is then bounded as t grows, instead of growing like Lambda(t).
+  the oscillation e^{i omega xi}, omega xi = 2 phi to the bit, in closed
+  form.  The node count per output time is then bounded as t grows.
   Where tau has not passed the Bessel orders on the whole zone, or the
   phase advances too little per panel to need Filon's rule, the zone takes
   no phase form and Simpson's rule integrates |vhat|^2 there too.
@@ -41,15 +41,16 @@ import numpy as np
 from .errors import DomainError, QuadratureError
 from .multipliers import (_NON_NEGATIVE, _POSITIVE, DEFAULT_K, NodeStore, _check_fields,
                           _sphere_area, phase_factors, phi_values_grid, rho_of)
+from .specfun import _SERIES_SWITCH
 
 # The Filon zone starts at tau = Lambda(t) xi = 16, where specfun's Hankel
-# expansion takes over and H+(tau) e^{-i tau} is smooth in log(xi).
+# expansion takes over and the phase factors are smooth in log(xi).
 # Starting it at tau = 30 leaves ~11 coarse log-spaced nodes per period
 # below it, and their error decides the fine-coarse gap: mu = 3 at rtol
 # 1e-8 then raised from t = 100 on, and the worst error against dense
 # references over mu in {1.5, 3, 4} was 8e-8 (3.4e-8 with 16; both measured
 # with a per-time log grid of the same density).
-_TAU_SPLIT = 16.0
+_TAU_SPLIT = _SERIES_SWITCH
 
 # Panels whose phase advances by less than this per step use Simpson's rule
 # on the recombined integrand |vhat|^2, the rest Filon's rule on its
@@ -106,12 +107,12 @@ def _zone_start(lattice, xi):
     return lattice.size - 1 - 4 * -(-above // 4)
 
 
-def _lattice(xi_max, pts_per_period, log_pts_per_decade, xi_lo):
+def _lattice(xi_max, pts_per_period, xi_lo):
     """The rule's nodes, ascending, from ``_zone_start`` at xi_lo to xi_max.
 
     The lattice does not depend on t: above xi = 1 a uniform step of at most
-    pi/(8 pts_per_period), below it 2 log_pts_per_decade nodes per decade
-    down from min(1, xi_max).  A smaller xi_lo extends it downward and
+    pi/(8 pts_per_period), below it 10 pts_per_period nodes per decade down
+    from min(1, xi_max).  A smaller xi_lo extends it downward and
     leaves every node above unchanged, so a series builds it once for its
     latest time and each time uses a suffix.
     """
@@ -121,7 +122,7 @@ def _lattice(xi_max, pts_per_period, log_pts_per_decade, xi_lo):
         top = np.linspace(1.0, xi_max, steps + 1)
     else:
         top = np.array([xi_max])
-    per_decade = 2 * log_pts_per_decade
+    per_decade = 10 * pts_per_period
     decades = math.log10(top[0] / xi_lo) if top[0] > xi_lo else 0.0
     below = math.ceil(per_decade * decades) + 4
     tail = top[0] * 10.0 ** (-np.arange(below, 0, -1) / per_decade)
@@ -129,12 +130,12 @@ def _lattice(xi_max, pts_per_period, log_pts_per_decade, xi_lo):
     return lattice[_zone_start(lattice, xi_lo):]
 
 
-def _rule_store(mu, profile, times, xi_max, pts_per_period, log_pts_per_decade):
+def _rule_store(mu, profile, times, xi_max, pts_per_period):
     """NodeStore of (mu, profile) on the ``_lattice`` that reaches the xi_lo
     of each of ``times``."""
     xi_lo = min((_bounds(float(profile.Lambda_at(t)), xi_max)[0] for t in times),
                 default=xi_max)
-    return NodeStore(mu, profile, _lattice(xi_max, pts_per_period, log_pts_per_decade, xi_lo))
+    return NodeStore(mu, profile, _lattice(xi_max, pts_per_period, xi_lo))
 
 
 def _lagrange(a, b, m0, m1, m2):
@@ -224,39 +225,37 @@ def _default_xi_max(v0_hat, v1_hat):
     return float(alive[-1]) * 1.5 if alive.size else 0.0
 
 
-def _check_rule(n, xi_max, rtol, pts_per_period, log_pts_per_decade):
+def _check_rule(n, xi_max, rtol, pts_per_period):
     """Raise DomainError unless n is 1, 2 or 3, xi_max and rtol are finite
-    and >= 0, and both densities are finite and > 0."""
+    and >= 0, and pts_per_period is finite and > 0."""
     _sphere_area(n)
     _check_fields([("xi_max", xi_max, _NON_NEGATIVE), ("rtol", rtol, _NON_NEGATIVE),
-                   ("pts_per_period", pts_per_period, _POSITIVE),
-                   ("log_pts_per_decade", log_pts_per_decade, _POSITIVE)])
+                   ("pts_per_period", pts_per_period, _POSITIVE)])
 
 
 def linear_norm_radial(mu, profile, v0_hat, v1_hat, t, n=1, s=0.0,
-                       xi_max=None, rtol=1e-8, pts_per_period=24,
-                       log_pts_per_decade=120, *, _lattice_store=None):
+                       xi_max=None, rtol=1e-8, pts_per_period=24, *, _lattice_store=None):
     """L2 norm and energy of the linear solution at time t by radial quadrature.
 
     ``v0_hat``/``v1_hat`` are callables returning the (possibly complex)
     radial spectral amplitudes.  ``xi_max`` defaults to where a Gaussian-type
     profile has decayed to ~1e-15 of its peak, probed numerically.
-    ``log_pts_per_decade`` sets the coarse rule's density in log(xi) below
-    xi = 1 and ``pts_per_period`` the lattice's uniform step above it,
-    pi/(8 pts_per_period); the fine rule, whose value is returned, has twice
-    that density on the same nodes.  ``_lattice_store`` is a series'
-    ``_rule_store``, which its times share.  Raises DomainError unless n is
-    1, 2 or 3, xi_max and rtol are >= 0 and both densities > 0, all finite.
+    ``pts_per_period`` sets the lattice's density: a uniform step of at
+    most pi/(8 pts_per_period) above xi = 1 and 10 pts_per_period nodes per
+    decade of log(xi) below it.  The fine rule, whose value is returned,
+    takes every node and the coarse rule every other one.  ``_lattice_store``
+    is a series' ``_rule_store``, which its times share.  Raises DomainError
+    unless n is 1, 2 or 3, xi_max and rtol are >= 0 and pts_per_period > 0,
+    all finite.
     """
     if xi_max is None:
         xi_max = _default_xi_max(v0_hat, v1_hat)
-    _check_rule(n, xi_max, rtol, pts_per_period, log_pts_per_decade)
+    _check_rule(n, xi_max, rtol, pts_per_period)
     Lam = float(profile.Lambda_at(t))
     xi_lo, xi_split = _bounds(Lam, xi_max)
     if not xi_max > xi_lo:
         return RadialNorms(l2=0.0, energy=0.0, t=t)
-    store = _lattice_store or _rule_store(mu, profile, [t], xi_max, pts_per_period,
-                                          log_pts_per_decade)
+    store = _lattice_store or _rule_store(mu, profile, [t], xi_max, pts_per_period)
     lattice = store.nonzero
     # this time's nodes are lattice[lo:], and the phase form takes
     # lattice[c:], the Filon zone, once tau has passed the Bessel orders there
@@ -319,14 +318,13 @@ def linear_decay_series(mu, profile, v0_hat, v1_hat, times, n=1, s=0.0,
     """
     from .analysis import NormSeries
 
-    kwargs = {"rtol": 1e-5, "pts_per_period": 12, "log_pts_per_decade": 60} | kwargs
+    kwargs = {"rtol": 1e-5, "pts_per_period": 12} | kwargs
     if kwargs.get("xi_max") is None:
         kwargs["xi_max"] = _default_xi_max(v0_hat, v1_hat)
     _check_rule(n, **kwargs)
     if not np.all(np.diff(times) > 0.0):
         raise DomainError("times must be strictly increasing")
-    store = _rule_store(mu, profile, times, kwargs["xi_max"], kwargs["pts_per_period"],
-                        kwargs["log_pts_per_decade"])
+    store = _rule_store(mu, profile, times, kwargs["xi_max"], kwargs["pts_per_period"])
     store.prefetch([s])
     rows = [linear_norm_radial(mu, profile, v0_hat, v1_hat, t, n=n, s=s,
                                _lattice_store=store, **kwargs)

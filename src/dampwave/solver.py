@@ -539,7 +539,7 @@ def simulate(config):
         row = {
             "t": st.t,
             "Lambda_t": float(profile.Lambda_at(st.t)),
-            "L1": ns.lm.get(1.0, float(np.sum(np.abs(st.u)) * grid.cell_volume)),
+            "L1": ns.lm[1.0] if 1.0 in ns.lm else float(np.sum(np.abs(st.u)) * grid.cell_volume),
             "L2": ns.l2,
             "H1_seminorm": ns.h1_semi,
             "energy": ns.energy,

@@ -208,6 +208,47 @@ def test_certify_zone_bounds_smoke():
     assert report.all_stable()
 
 
+def test_certify_zone_bounds_lists_each_note_once():
+    # below both borders (n(2/m-1) = 1, 2 + 1 = 3) neither L^q template
+    # applies; each says so once, however many (s, t) are sampled
+    spec = mp.ZoneSampleSpec(s_values=(0.0,), t_min=1.0, t_max=10.0, t_per_decade=4,
+                             xi_per_decade=10, xi_cap=10.0)
+    report = mp.certify_zone_bounds(0.5, CONST, 1.0, spec)
+    assert len(report.families["I1_sol_v0"].samples) == 5
+    assert report.notes == ["mu=0.5 < n(2/m-1): no L^q solution template",
+                            "mu=0.5 < 2+n(2/m-1): no L^q energy template"]
+
+
+def _hankel_modulus_sq(order, z):
+    """|H+_order(z)|^2 for |order| = 3/2 and 5/2, where the modulus
+    expansion (DLMF 10.18.17) terminates."""
+    tail = {1.5: 1.0 + 1.0 / z**2, 2.5: 1.0 + 3.0 / z**2 + 9.0 / z**4}[abs(order)]
+    return 2.0 / (math.pi * z) * tail
+
+
+def test_phase_factors_are_the_cross_products_turned_by_the_phase():
+    # mu = 4 (orders -3/2 and -5/2); from index lo on, sigma = Lambda(s) xi
+    # crosses 1, where a pair switches to longdouble, and tau reaches 168
+    s, t, lo = 0.5, 20.0, 3
+    xi = np.geomspace(0.05, 8.0, 241)
+    store = mp.NodeStore(4.0, CONST, xi)
+    Lam_s, Lam_t = CONST.Lambda_at(s), CONST.Lambda_at(t)
+    x = xi[lo:]
+    assert Lam_s * x[0] < 1.0 < Lam_s * x[-1] and Lam_t * x[-1] >= 16.0
+    factors = mp.phase_factors(store, s, t, lo)
+    entries = mp.phi_values_grid(4.0, CONST, s, t, xi)
+    phase = (Lam_t - Lam_s) * x
+    terms = mp._entry_terms(store.rho, CONST.lambda_at(s), Lam_s, CONST.lambda_at(t), Lam_t)
+    for w, entry, (scale, k, a, b) in zip(factors, entries, terms):
+        # Im[W e^{i phi}] is the entry, to 1e-15 of max |W|
+        assert np.abs((w * np.exp(1j * phase)).imag - entry[lo:]).max() <= 1e-15 * np.abs(w).max()
+        # |W| = |scale| xi^k |H+_a(sigma)| |H+_b(tau)|: W keeps the whole
+        # cross product, its real part included
+        modulus = abs(scale) * x**k * np.sqrt(_hankel_modulus_sq(store.rho - a, Lam_s * x)
+                                              * _hankel_modulus_sq(store.rho - b, Lam_t * x))
+        assert np.allclose(np.abs(w), modulus, rtol=1e-13, atol=0.0)
+
+
 def _undeduplicated(mu, prof, s, t, xi):
     """Reference: the Hankel assembly applied to every entry of xi, repeats
     included, with boolean precision masks and no reuse of Bessel values."""

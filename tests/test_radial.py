@@ -16,11 +16,11 @@ def zero_spec(xi):
     return np.zeros_like(xi)
 
 
-def _rule(Lam, xi_max, pts_per_period, log_pts_per_decade):
+def _rule(Lam, xi_max, pts_per_period):
     """The lattice of a standalone call at Lambda(t) = Lam, the index of the
     call's first node and that of its Filon zone's first node."""
     xi_lo, xi_split = radial._bounds(Lam, xi_max)
-    lattice = radial._lattice(xi_max, pts_per_period, log_pts_per_decade, xi_lo)
+    lattice = radial._lattice(xi_max, pts_per_period, xi_lo)
     return lattice, radial._zone_start(lattice, xi_lo), radial._zone_start(lattice, xi_split)
 
 
@@ -76,7 +76,7 @@ def test_zero_spectra():
     ("series", {"xi_max": math.inf}, "xi_max must be a non-negative finite"),
     ("norm", {"xi_max": math.nan}, "xi_max must be a non-negative finite"),
     ("norm", {"pts_per_period": 0}, "pts_per_period must be a positive finite"),
-    ("series", {"log_pts_per_decade": 0}, "log_pts_per_decade must be a positive finite"),
+    ("series", {"pts_per_period": math.inf}, "pts_per_period must be a positive finite"),
     ("norm", {"rtol": math.nan}, "rtol must be a non-negative finite"),
     ("zones", {"n": 4}, "n must be 1, 2 or 3"),
     ("series", {"times": [1.0e3, 10.0, 1.0]}, "times must be strictly increasing"),
@@ -111,7 +111,7 @@ def test_too_coarse_rule_raises():
 
 @pytest.mark.parametrize("Lam, xi_max", [(5.0, 8.0), (1.0e3, 8.0), (1.0, 0.5), (1.0e-3, 8.0)])
 def test_rule_nodes_and_nested_weights(Lam, xi_max):
-    lattice, lo, c = _rule(Lam, xi_max, 12, 60)
+    lattice, lo, c = _rule(Lam, xi_max, 12)
     xi = lattice[lo:]
     smooth, wave = radial._weights(xi, xi.size, 1, 0.0)
     fine, coarse = smooth
@@ -129,11 +129,11 @@ def test_rule_nodes_and_nested_weights(Lam, xi_max):
     fine_err, coarse_err = radial._panel_rows(xi, 0.0, xi.size)[0] @ np.exp(-xi) - exact
     assert coarse_err == pytest.approx(16.0 * fine_err, rel=0.1)
     # the lattice: a uniform step of at most pi/(8 pts_per_period) above
-    # xi = 1 and 2 log_pts_per_decade nodes per decade below
+    # xi = 1 and 10 pts_per_period nodes per decade below
     steps = np.diff(xi[xi >= 1.0])
-    assert steps.size == 0 or (steps.max() <= math.pi / 96.0 and np.ptp(steps) < 1e-12)
+    assert steps.size == 0 or (steps.max() <= math.pi / (8 * 12) and np.ptp(steps) < 1e-12)
     ratios = np.diff(np.log10(xi[xi <= 1.0]))
-    assert np.allclose(ratios, 1.0 / 120.0, rtol=1e-9)
+    assert np.allclose(ratios, 1.0 / (10 * 12), rtol=1e-9)
     # the nodes start at xi_lo, the Filon zone at the split, each at most 3
     # nodes below it
     xi_lo, split = radial._bounds(Lam, xi_max)
@@ -143,9 +143,9 @@ def test_rule_nodes_and_nested_weights(Lam, xi_max):
 
 
 def test_lattice_does_not_depend_on_t():
-    late = radial._lattice(8.0, 12, 60, radial._bounds(1.0e4, 8.0)[0])
+    late = radial._lattice(8.0, 12, radial._bounds(1.0e4, 8.0)[0])
     for Lam in (2.0, 30.0, 1.0e3, 1.0e4):
-        lattice, lo, c = _rule(Lam, 8.0, 12, 60)
+        lattice, lo, c = _rule(Lam, 8.0, 12)
         # a standalone call's lattice is its own nodes, a suffix of the latest
         assert lo == 0 and np.array_equal(lattice, late[-lattice.size:])
         xi_lo, xi_split = radial._bounds(Lam, 8.0)
@@ -177,7 +177,7 @@ def test_series_times_are_slices_of_one_lattice(monkeypatch):
     radial.linear_decay_series(4.0, CONST, G, H, times)
     assert [t for t, _, _ in seen] == times
     xi_max = radial._default_xi_max(G, H)
-    lattice = radial._lattice(xi_max, 12, 60, radial._bounds(CONST.Lambda_at(times[-1]), xi_max)[0])
+    lattice = radial._lattice(xi_max, 12, radial._bounds(CONST.Lambda_at(times[-1]), xi_max)[0])
     phased = 0
     for t, low, at in seen:
         a = int(np.searchsorted(lattice, low[0]))
@@ -208,7 +208,7 @@ def test_filon_rows_integrate_quadratics_exactly(Lam):
     # at these rates every panel advances its phase by more than
     # _SLOW_PHASE, so both rows are Filon's rule and integrate a quadratic
     # times e^{i omega xi} exactly
-    lattice, lo, c = _rule(Lam, 8.0, 12, 60)
+    lattice, lo, c = _rule(Lam, 8.0, 12)
     zone = lattice[c:]
     omega = 2.0 * (Lam - 1.0)
     steps = np.diff(zone)
@@ -250,15 +250,15 @@ def _simpson_rows(m):
     return rows / (3.0 * (m - 1))
 
 
-def _simpson_reference(mu, profile, v0_hat, v1_hat, t, n, s, xi_max,
-                       pts_per_period=96, log_pts_per_decade=480):
+def _simpson_reference(mu, profile, v0_hat, v1_hat, t, n, s, xi_max, pts_per_period=96):
     """The rule the Filon zone replaced, at 4 times its default density: a log
-    zone to min(30/Lambda(t), 1, xi_max), then Simpson's rule with step
-    pi/(Lambda(t) pts_per_period), at least 512 steps, on the oscillation."""
+    zone of 10 pts_per_period nodes per decade to min(30/Lambda(t), 1,
+    xi_max), then Simpson's rule with step pi/(Lambda(t) pts_per_period), at
+    least 512 steps, on the oscillation."""
     Lam, lam = float(profile.Lambda_at(t)), float(profile.lambda_at(t))
     split = min(30.0 / Lam, 1.0, xi_max)
     xi_lo = max(xi_max * 1e-12, 0.5e-4 / Lam, 1e-12)
-    m = int(2 * log_pts_per_decade * math.log10(split / xi_lo)) + 1
+    m = int(10 * pts_per_period * math.log10(split / xi_lo)) + 1
     log_xi = np.geomspace(xi_lo, split, m + (1 - m) % 4)
     log_w = _simpson_rows(log_xi.size)[0] * math.log(split / xi_lo) * log_xi
     log_w[0] += xi_lo / n
@@ -309,7 +309,7 @@ def test_filon_route_matches_dense_simpson(mu, profile, n, s, t, data):
     # at rtol 1e-8 the log zone's own coarse error fails the gap check for
     # n = 2, 3 (as with the uniform zone); the rule certifies ~2 rtol
     r = radial.linear_norm_radial(mu, profile, v0_hat, v1_hat, t, n=n, s=s, rtol=1e-7)
-    lattice, lo, c = _rule(float(profile.Lambda_at(t)), xi_max, 24, 120)
+    lattice, lo, c = _rule(float(profile.Lambda_at(t)), xi_max, 24)
     assert c < lattice.size - 1
     assert r.l2 == pytest.approx(ref[0], rel=2e-7)
     assert r.energy == pytest.approx(ref[1], rel=2e-7)
@@ -362,7 +362,7 @@ def test_series_evaluates_sigma_once_through_the_module_bindings(bessel_points, 
     # at tau only
     assert 0 < len(phase_times) < len(times)
     xi_max = radial._default_xi_max(G, H)
-    lattice = radial._lattice(xi_max, 12, 60, radial._bounds(CONST.Lambda_at(times[-1]), xi_max)[0])
+    lattice = radial._lattice(xi_max, 12, radial._bounds(CONST.Lambda_at(times[-1]), xi_max)[0])
     per_time = 0
     for t in times:
         xi_lo, xi_split = radial._bounds(CONST.Lambda_at(t), xi_max)
@@ -372,7 +372,7 @@ def test_series_evaluates_sigma_once_through_the_module_bindings(bessel_points, 
     assert inside[0] == per_time and bessel_points[0] == lattice.size + per_time
     # the same numbers as standalone calls, which evaluate sigma themselves
     for t, l2, energy in zip(times, series.tracks["L2"], series.tracks["energy"]):
-        r = norm(4.0, CONST, G, H, t, rtol=1e-5, pts_per_period=12, log_pts_per_decade=60)
+        r = norm(4.0, CONST, G, H, t, rtol=1e-5, pts_per_period=12)
         assert (r.l2, r.energy) == pytest.approx((l2, energy), rel=1e-14)
 
 
@@ -387,9 +387,9 @@ def test_grid_run_matches_radial_series():
     grid_series, _ = solver.simulate(cfg)
     assert grid_series.times.size == 55
     v0 = radial.gaussian_spectrum(math.sqrt(2.0 * math.pi), 1.0)
-    settings = {"rtol": 1e-9, "pts_per_period": 48, "log_pts_per_decade": 240}
+    settings = {"rtol": 1e-9, "pts_per_period": 48}
     xi_max = radial._default_xi_max(v0, zero_spec)
-    lattice, lo, c = _rule(51.0, xi_max, 48, 240)
+    lattice, lo, c = _rule(51.0, xi_max, 48)
     assert lattice[c] < 0.5
     series = radial.linear_decay_series(4.0, cfg.profile, v0, zero_spec, grid_series.times,
                                         **settings)

@@ -352,7 +352,7 @@ def test_radial_norm_evaluates_every_node(bessel_points, monkeypatch):
     monkeypatch.setattr(radial, "phase_factors", counted_phase)
     radial.linear_norm_radial(4.0, CONST, radial.gaussian_spectrum(1.0, 1.0),
                               radial.gaussian_spectrum(0.7, 1.2), 10.0, rtol=1e-5,
-                              pts_per_period=12, log_pts_per_decade=60)
+                              pts_per_period=12)
     # one multiplier evaluation per zone serves both resolutions; quadrature
     # nodes are distinct and the junction of the zones is evaluated once, by
     # the Filon zone; one Bessel point per node at sigma and one at tau, each
