@@ -22,14 +22,16 @@ cross determinant
 where sigma = Lambda(s)|xi|.  The Im-form is used throughout: it is exactly
 real, which is also why all four entries carry zero imaginary part.
 The entries are formed in two stages: J and Y at orders rho and rho - 1 at
-one time node, for the sorted distinct |xi| (NodeStore), then the cross
-products of the nodes at s and t, split by precision in ``_pair_parts``;
-``_fill`` evaluates the values of any set of nodes in one call per
-precision.  ``phase_factors`` gives the same entries in phase form,
-Im[W e^{i phi}] with phi = (Lambda(t) - Lambda(s))|xi|, for quadratures that
-integrate the phase in closed form: W is the whole complex cross product
-conj(H+(sigma)) H+(tau), from the same J and Y products, turned by e^{-i phi},
-and varies slowly in |xi|.
+one time node, for the sorted distinct |xi| (NodeStore) or a suffix of
+them, then the cross products of the nodes at s and t, split by precision
+in ``_pair_parts``; ``_fill`` evaluates the values of any set of nodes in
+one call per precision, and ``NodeStore.prefetch`` has it fill what a list
+of pairs (s, t) will read.  ``phi_values_grid`` gives the entries on all of
+a store's |xi| or on a contiguous run of them.  ``phase_factors`` gives the
+same entries in phase form, Im[W e^{i phi}] with phi = (Lambda(t) -
+Lambda(s))|xi|, for quadratures that integrate the phase in closed form: W
+is the whole complex cross product conj(H+(sigma)) H+(tau), from the same J
+and Y products, turned by e^{-i phi}, and varies slowly in |xi|.
 
 The module also provides a brute-force per-mode ODE oracle (independent of
 the special functions), the frequency-zone classifier, and an empirical
@@ -133,6 +135,7 @@ class _Node:
     def __init__(self, store, t, start=0):
         self.lam = float(store.profile.lambda_at(t))
         self.Lam = float(store.profile.Lambda_at(t))
+        self.start = start
         self.args = self.Lam * store.nonzero[start:]
         # arguments below _EXT_SIGMA form a prefix, because |xi| is sorted
         self.n_ext = int(np.searchsorted(self.args, _EXT_SIGMA))
@@ -148,34 +151,50 @@ def _batched(fn, rho, parts):
 
 def _fill(rho, wants):
     """The one evaluator of node values: gives each (node, lo, hi) of
-    ``wants``, distinct nodes, the float64 values it lacks on args[lo:] and
-    the longdouble values it lacks on args[:hi], with at most one ``_jy``
-    and one ``jy_extended`` call for them all."""
-    double = [(nd, lo) for nd, lo, _ in wants if lo < nd.lo]
+    ``wants`` the float64 values its node lacks on args[lo:] and the
+    longdouble values it lacks on args[:hi], with at most one ``_jy`` and one
+    ``jy_extended`` call for them all; a node asked for more than once gets
+    the union of its ranges."""
+    ranges = {}
+    for nd, lo, hi in wants:
+        have = ranges.get(nd, (nd.lo, nd.hi))
+        ranges[nd] = min(have[0], lo), max(have[1], hi)
+    double = [(nd, lo) for nd, (lo, _) in ranges.items() if lo < nd.lo]
     if double:
         new = _batched(_jy, rho, [nd.args[lo:nd.lo] for nd, lo in double])
         for (nd, lo), values in zip(double, new):
             nd.double, nd.lo = [np.concatenate(p) for p in zip(values, nd.double)], lo
-    ext = [(nd, hi) for nd, _, hi in wants if hi > nd.hi]
+    ext = [(nd, hi) for nd, (_, hi) in ranges.items() if hi > nd.hi]
     if ext:
         new = _batched(jy_extended, rho, [nd.args[nd.hi:hi] for nd, hi in ext])
         for (nd, hi), values in zip(ext, new):
             nd.ext, nd.hi = [np.concatenate(p) for p in zip(nd.ext, values)], hi
 
 
-def _pair_parts(store, at_s, at_t, lo=0):
+def _pair_parts(store, at_s, at_t, lo=0, hi=None, wants=None):
     """The one precision split of a pair (s, t), on the store's nonzero |xi|
-    from index ``lo`` on, where at_t's arguments start: longdouble where
-    sigma = Lambda(s)|xi| < _EXT_SIGMA, float64 above.  Fills what the nodes
-    lack, then yields (p_lo, p_hi, values at sigma, values at tau) per part,
-    each (J_rho, Y_rho, J_{rho-1}, Y_{rho-1}) on |xi| indices p_lo:p_hi."""
-    k = max(lo, at_s.n_ext)
-    _fill(store.rho, [(at_s, k, k if k > lo else 0), (at_t, k - lo, k - lo)])
+    indices lo:hi (hi defaults to the end), from which both nodes start:
+    longdouble where sigma = Lambda(s)|xi| < _EXT_SIGMA, float64 above.
+    Fills what the nodes lack, then returns (p_lo, p_hi, values at sigma,
+    values at tau) per part, each (J_rho, Y_rho, J_{rho-1}, Y_{rho-1}) on |xi|
+    indices p_lo:p_hi.  Given a list ``wants``, it appends the pair's
+    ``_fill`` requests to it instead, for a later fill, and returns nothing."""
+    hi = store.nonzero.size if hi is None else hi
+    k = min(max(lo, at_s.start + at_s.n_ext), hi)
+    nodes = at_s, at_t
+    requests = [(nd, k - nd.start if k < hi else nd.args.size, k - nd.start if k > lo else 0)
+                for nd in nodes]
+    if wants is not None:
+        wants += requests
+        return []
+    _fill(store.rho, requests)
+    parts = []
     if k > lo:
-        yield lo, k, [v[lo:k] for v in at_s.ext], [v[:k - lo] for v in at_t.ext]
-    if k < store.nonzero.size:
-        yield (k, store.nonzero.size, [v[k - at_s.lo:] for v in at_s.double],
-               [v[k - lo - at_t.lo:] for v in at_t.double])
+        parts.append((lo, k, *([v[lo - nd.start:k - nd.start] for v in nd.ext] for nd in nodes)))
+    if k < hi:
+        parts.append((k, hi, *([v[k - nd.start - nd.lo:hi - nd.start - nd.lo] for v in nd.double]
+                               for nd in nodes)))
+    return parts
 
 
 # Bessel points (distinct nonzero |xi| times nodes) that NodeStore.prefetch
@@ -192,10 +211,10 @@ class NodeStore:
     call, so a time shared by consecutive pairs (s, t) is evaluated once.
 
     A time the store does not hold gets a node of its own, which replaces
-    the oldest node held once MAX_NODES are held.  A caller that knows its
-    times in advance hands them to ``prefetch``, which evaluates their nodes
-    together; ``batch_nodes`` is how many new nodes keep such a batch within
-    BATCH_POINTS Bessel points.
+    the node asked for least recently once MAX_NODES are held.  A caller
+    that knows its pairs (s, t) in advance hands them to ``prefetch``, which
+    evaluates their nodes together; ``batch_nodes`` is how many new nodes
+    keep such a batch within BATCH_POINTS Bessel points.
     """
 
     MAX_NODES = 3
@@ -214,37 +233,48 @@ class NodeStore:
             raise DomainError("xi must be nonnegative")
         self.n_zero = int(self.values.size > 0 and self.values[0] == 0.0)
         self.nonzero = self.values[self.n_zero:]
-        self.nodes = {}  # t -> _Node, oldest first
+        self.nodes = {}  # t -> _Node, least recently asked for first
         self.batch_nodes = max(1, BATCH_POINTS // max(1, self.nonzero.size))
 
-    def node(self, t):
-        if t not in self.nodes:
-            if len(self.nodes) >= self.MAX_NODES:
+    def node(self, t, lo=0):
+        """The node at t, starting at or below nonzero |xi| index lo; a time
+        not held, or held from above lo, gets a new node from lo."""
+        nd = self.nodes.pop(t, None)
+        if nd is None or nd.start > lo:
+            if nd is None and len(self.nodes) >= self.MAX_NODES:
                 del self.nodes[next(iter(self.nodes))]
-            self.nodes[t] = _Node(self, t)
-        return self.nodes[t]
+            nd = _Node(self, t, lo)
+        self.nodes[t] = nd
+        return nd
 
-    def prefetch(self, times):
-        """Evaluate the nodes at increasing ``times`` in one call per
-        precision, and then hold only those nodes; one held at times[0] keeps
-        its values.  An empty ``times`` changes nothing.
+    def prefetch(self, pairs):
+        """Evaluate the nodes of the ``pairs`` the caller will ask for, in
+        any order, in one call per precision, and then hold only those nodes;
+        a node held already keeps its values.  No pairs change nothing.
 
-        Consecutive times are the pairs (s, t) the caller will ask for, in
-        any order, so each node gets what ``_pair_parts`` reads of it as s or
-        t of such a pair.  A node whose phases the pairs reject (above
-        TAU_MAX or not finite) gets no values here, nor do the nodes after
-        it, so the pair that reads it raises as without a prefetch.
+        A pair is (s, t), read on all of the nonzero |xi|, or (s, t, lo),
+        read from index lo on; its node at t then starts at lo, unless that
+        time is also the s of a pair.  Each node gets what ``_pair_parts``
+        reads of it in its pairs.  A pair whose phases are rejected (above
+        TAU_MAX or not finite) gets no values here, nor do the pairs after
+        it, so the call that reads it raises as without a prefetch.
         """
-        if not times:
+        if not pairs:
             return
-        held = {t: self.nodes[t] for t in times[:1] if t in self.nodes}
-        self.nodes = held | {t: _Node(self, t) for t in times if t not in held}
-        wants, n_ext = [], self.nodes[times[0]].n_ext
-        for nd in self.nodes.values():
-            if nd.args.size and not nd.args[-1] <= TAU_MAX:
+        reads = [(s, t, lo[0] if lo else 0) for s, t, *lo in pairs]
+        starts = {}
+        for s, t, lo in reads:
+            starts[s] = 0
+            starts[t] = min(starts.get(t, lo), lo)
+        held = self.nodes
+        self.nodes = {x: held[x] if x in held and held[x].start <= start else _Node(self, x, start)
+                      for x, start in starts.items()}
+        wants = []
+        for s, t, lo in reads:
+            at_s, at_t = self.nodes[s], self.nodes[t]
+            if any(nd.args.size and not nd.args[-1] <= TAU_MAX for nd in (at_s, at_t)):
                 break
-            wants.append((nd, *sorted((n_ext, nd.n_ext))))
-            n_ext = nd.n_ext
+            _pair_parts(self, at_s, at_t, lo, wants=wants)
         _fill(self.rho, wants)
 
 
@@ -256,22 +286,36 @@ def phi_values_grid(mu, profile, s, t, xi, *, store=None):
     for a non-finite or negative xi and, when t > s, for a mode whose phase
     tau = Lambda(t)|xi| exceeds TAU_MAX.  The entries depend on |xi| alone,
     so they are evaluated once per distinct value of xi and gathered back.
-    ``store`` is a NodeStore built for (mu, profile, xi), which keeps the
-    Bessel values at each time for the next call; without it the call
-    builds a store of its own.
+    ``store`` is a NodeStore for (mu, profile), which keeps the Bessel values
+    at each time for the next call; it was built for this xi, or xi is a
+    contiguous run of its ``nonzero`` |xi|, whose entries are read from the
+    store's nodes.  Without it the call builds a store of its own.
     """
     if store is None:
         store = NodeStore(mu, profile, xi)
-    elif not (store.mu == mu and store.profile is profile and store.xi is xi):
+    elif not (store.mu == mu and store.profile is profile):
         raise ValueError("store was built for another (mu, profile, xi)")
     if not (0.0 <= s <= t):
         raise DomainError("need 0 <= s <= t")
+    lo = None if xi is store.xi else _run_start(store, xi)
     if t == s:
         # zero elapsed time: exactly the identity propagator
-        return (np.ones(store.shape), np.zeros(store.shape),
-                np.zeros(store.shape), np.ones(store.shape))
+        shape = np.shape(xi)
+        return np.ones(shape), np.zeros(shape), np.zeros(shape), np.ones(shape)
+    if lo is not None:
+        return _assemble(store, store.node(s, lo), store.node(t, lo), lo, lo + xi.size)
     entries = _assemble(store, store.node(s), store.node(t))
     return tuple(e[store.inverse].reshape(store.shape) for e in entries)
+
+
+def _run_start(store, xi):
+    """Index at which the 1-D array xi runs through the store's nonzero |xi|;
+    ValueError if it is not such a contiguous run."""
+    if isinstance(xi, np.ndarray) and xi.ndim == 1:
+        lo = int(np.searchsorted(store.nonzero, xi[0])) if xi.size else 0
+        if np.array_equal(store.nonzero[lo:lo + xi.size], xi):
+            return lo
+    raise ValueError("store was built for another (mu, profile, xi)")
 
 
 def _check_phases(tau):
@@ -292,19 +336,21 @@ def _entry_terms(rho, lam_s, Lam_s, lam_t, Lam_t):
             (-half_pi * lam_t * pref, 2, 1, 1), (half_pi * lam_t / lam_s * pref, 1, 0, 1))
 
 
-def _assemble(store, at_s, at_t):
-    """Propagator entries at the store's distinct |xi| from two time nodes."""
-    _check_phases(at_t.args)
-    entries = [np.empty_like(store.values) for _ in range(4)]
-    z = store.n_zero
+def _assemble(store, at_s, at_t, lo=0, hi=None):
+    """Propagator entries from two time nodes at the store's distinct |xi|,
+    or, given hi, at its nonzero |xi| lo:hi."""
+    z = store.n_zero if hi is None else 0
+    hi = store.nonzero.size if hi is None else hi
+    _check_phases(at_t.args[lo - at_t.start:hi - at_t.start])
+    entries = [np.empty(z + hi - lo) for _ in range(4)]
     if z:
         vals = _zero_mode_values(store.mu, at_s.lam, at_t.lam, at_s.Lam, at_t.Lam)
         for e, v in zip(entries, vals):
             e[0] = v
     terms = _entry_terms(store.rho, at_s.lam, at_s.Lam, at_t.lam, at_t.Lam)
-    for lo, hi, at_sigma, at_tau in _pair_parts(store, at_s, at_t):
-        xe = store.nonzero[lo:hi]
-        out = slice(z + lo, z + hi)
+    for p_lo, p_hi, at_sigma, at_tau in _pair_parts(store, at_s, at_t, lo, hi):
+        xe = store.nonzero[p_lo:p_hi]
+        out = slice(z + p_lo - lo, z + p_hi - lo)
         for entry, (scale, power, a, b) in zip(entries, terms):
             # Im[conj(J + iY) (J' + iY')] = J Y' - Y J'
             psi = at_sigma[2 * a] * at_tau[2 * b + 1] - at_sigma[2 * a + 1] * at_tau[2 * b]
@@ -322,16 +368,16 @@ def phase_factors(store, s, t, lo=0):
     dphi0, dphi1) = Im[W exp(i phi)], phi = (Lambda(t) - Lambda(s))|xi|:
     W = scale |xi|^k conj(H+_a(sigma)) H+_b(tau) e^{-i phi}, the cross
     products of ``_assemble`` with the phase taken out, so W varies slowly
-    in |xi| once tau is past the order.  The store's node at s is kept and
-    serves every t; the tau side is evaluated per call, on a node of its
-    own, with the precision split of ``_pair_parts``.  Raises DomainError
-    unless 0 <= s <= t, and for a phase beyond TAU_MAX.
+    in |xi| once tau is past the order.  Both sides are read from the
+    store's nodes at s and t, as ``phi_values_grid`` reads them for a run,
+    with the precision split of ``_pair_parts``.  Raises DomainError unless
+    0 <= s <= t, and for a phase beyond TAU_MAX.
     """
     if not (0.0 <= s <= t):
         raise DomainError("need 0 <= s <= t")
-    at_s, at_t = store.node(s), _Node(store, t, lo)
-    _check_phases(at_t.args)
-    factors = [np.empty(at_t.args.size, dtype=complex) for _ in range(4)]
+    at_s, at_t = store.node(s, lo), store.node(t, lo)
+    _check_phases(at_t.args[lo - at_t.start:])
+    factors = [np.empty(store.nonzero.size - lo, dtype=complex) for _ in range(4)]
     terms = _entry_terms(store.rho, at_s.lam, at_s.Lam, at_t.lam, at_t.Lam)
     turn = np.exp(-1j * (at_t.Lam - at_s.Lam) * store.nonzero[lo:])
     for p_lo, p_hi, at_sigma, at_tau in _pair_parts(store, at_s, at_t, lo):

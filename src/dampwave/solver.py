@@ -26,10 +26,11 @@ one multipliers.NodeStore for the run: a step's midpoint serves both of its
 half steps, and its end is the next step's start, so each step needs two
 new node sets (tm and t1) instead of four.  The step times do not depend on
 the solution, so the loop reads its step plan (``_step_plan``) in chunks and
-has the store prefetch each chunk's time nodes in one Bessel call per
-precision before it takes the chunk's steps.  The store also sorts the
-grid's |xi| once per run.  With a zero nonlinearity the propagator is exact
-over any interval, so ``simulate`` takes one step per output interval.
+has the store prefetch the pairs of each chunk's consecutive time nodes in
+one Bessel call per precision before it takes the chunk's steps.  The store
+also sorts the grid's |xi| once per run.  With a zero nonlinearity the
+propagator is exact over any interval, so ``simulate`` takes one step per
+output interval.
 Blow-up (a non-finite value or max|u| above the threshold) is checked after
 every step and dated by that step; in a linear run that is the output time
 ending the step.
@@ -566,7 +567,7 @@ def simulate(config):
     plan = _step_plan(config, times)
     threshold = config.blowup_factor * peak0
     while blowup is None and (chunk := list(itertools.islice(plan, chunk_steps))):
-        store.prefetch(_node_times(state.t, chunk, nonlinear))
+        store.prefetch(list(itertools.pairwise(_node_times(state.t, chunk, nonlinear))))
         for t_out, dt in chunk:
             state = duhamel_step(state, profile, mu, grid, nonlin, dt, store=store)
             blowup = _blowup(state, grid, threshold)

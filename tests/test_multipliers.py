@@ -1,5 +1,6 @@
 """Multiplier-module tests: closed forms, ODE oracle, zones, certification."""
 
+import itertools
 import math
 
 import numpy as np
@@ -249,6 +250,18 @@ def test_phase_factors_are_the_cross_products_turned_by_the_phase():
         assert np.allclose(np.abs(w), modulus, rtol=1e-13, atol=0.0)
 
 
+def test_phase_factors_keep_the_node_at_s(bessel_points):
+    # every call holds its node at t in the store; the node at s, which
+    # every call asks for, is never the least recently asked for, so sigma
+    # is evaluated once
+    xi = np.geomspace(0.01, 5.0, 200)
+    store = mp.NodeStore(4.0, CONST, xi)
+    for t in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0):
+        mp.phase_factors(store, 0.0, t)
+    assert bessel_points[0] == 7 * xi.size
+    assert len(store.nodes) == mp.NodeStore.MAX_NODES and 0.0 in store.nodes
+
+
 def _undeduplicated(mu, prof, s, t, xi):
     """Reference: the Hankel assembly applied to every entry of xi, repeats
     included, with boolean precision masks and no reuse of Bessel values."""
@@ -357,9 +370,9 @@ def test_prefetched_nodes_serve_pairs_in_any_order(mu, prof, bessel_points):
     # between the times, so that neighbours differ in extended prefix
     xi = np.concatenate([[0.0], np.geomspace(0.05, 20.0, 300), [0.5, 0.5, 0.0]])
     store = mp.NodeStore(mu, prof, xi)
-    store.prefetch([0.0, 0.15, 0.3, 0.6, 0.9, 1.5, 2.1])
+    store.prefetch(list(itertools.pairwise([0.0, 0.15, 0.3, 0.6, 0.9, 1.5, 2.1])))
     assert bessel_points[1] == 2
-    # no times: nothing is evaluated and every node is kept
+    # no pairs: nothing is evaluated and every node is kept
     held = dict(store.nodes)
     store.prefetch([])
     assert store.nodes == held and bessel_points[1] == 2
@@ -369,7 +382,7 @@ def test_prefetched_nodes_serve_pairs_in_any_order(mu, prof, bessel_points):
     assert bessel_points[1] == 2
     # the next batch keeps the node it starts from and its values
     kept = store.nodes[2.1]
-    store.prefetch([2.1, 2.4, 2.7])
+    store.prefetch([(2.1, 2.4), (2.4, 2.7)])
     assert store.nodes[2.1] is kept and list(store.nodes) == [2.1, 2.4, 2.7]
     pairs += [(2.4, 2.7), (2.1, 2.4)]
     got += [mp.phi_values_grid(mu, prof, s, t, xi, store=store) for s, t in pairs[-2:]]
@@ -383,7 +396,7 @@ def test_prefetched_nodes_serve_pairs_in_any_order(mu, prof, bessel_points):
 def test_prefetched_store_off_batch_and_out_of_order(mu, prof):
     xi = np.concatenate([[0.0], np.geomspace(0.05, 20.0, 300), [0.5, 0.5, 0.0]])
     store = mp.NodeStore(mu, prof, xi)
-    store.prefetch([0.0, 0.3, 0.6, 0.9, 1.5, 3.0, 3.5])
+    store.prefetch(list(itertools.pairwise([0.0, 0.3, 0.6, 0.9, 1.5, 3.0, 3.5])))
     # a pair in the batch, a time off it (0.45), which gets a node of its
     # own, one asked before a time it follows (0.6 after 0.9), a pair of
     # times that are not neighbours in the batch, then in order
@@ -400,7 +413,7 @@ def test_prefetched_store_leaves_rejected_phases_to_the_pair():
     xi = np.array([0.5, 1.0, 2.0])
     store = mp.NodeStore(4.0, CONST, xi)
     with np.errstate(over="ignore"):
-        store.prefetch([0.0, 1.0, 1e308])
+        store.prefetch([(0.0, 1.0), (1.0, 1e308)])
         mp.phi_values_grid(4.0, CONST, 0.0, 1.0, xi, store=store)
         with pytest.raises(DomainError, match="TAU_MAX"):
             mp.phi_values_grid(4.0, CONST, 1.0, 1e308, xi, store=store)

@@ -42,8 +42,9 @@ print(json.dumps({"missing": missing, "points": points[0], "metrics": metrics(tr
 
 def test_tracer_counts_a_radial_series():
     # the radial_decay workload reads these counters: one radial call per
-    # output time, its quadrature nodes, and every Bessel point, which the
-    # tracer counts at the multipliers bindings
+    # output time, its quadrature nodes, one multiplier evaluation per time
+    # (radial calls its module binding of phi_values_grid), and every Bessel
+    # point and call, which the tracer counts at the multipliers bindings
     out = subprocess.run([sys.executable, "-c", SERIES_UNDER_TRACER], cwd=ROOT,
                          capture_output=True, text=True, check=True, timeout=120)
     report = json.loads(out.stdout.splitlines()[-1])
@@ -51,4 +52,7 @@ def test_tracer_counts_a_radial_series():
     counted = report["metrics"]
     assert counted["radial.calls"] == 3
     assert counted["radial.quad_points"] > 0
+    assert counted["multipliers.calls"] == 3
     assert counted["specfun.points"] == report["points"] > 0
+    # the series evaluates its times' Bessel values in batches, not per time
+    assert counted["specfun.calls"] <= 4

@@ -158,16 +158,17 @@ def test_lattice_does_not_depend_on_t():
 
 def test_series_times_are_slices_of_one_lattice(monkeypatch):
     # each time hands phi_values_grid the nodes below its phase form and
-    # phase_factors the index where that form starts, on the series' store
-    seen = []
+    # phase_factors the index where that form starts, both on the series' store
+    seen, stores = [], []
     grid, phase = radial.phi_values_grid, radial.phase_factors
 
-    def grid_nodes(mu, profile, s, t, xi):
+    def grid_nodes(mu, profile, s, t, xi, *, store):
         seen.append([t, xi, None])
-        return grid(mu, profile, s, t, xi)
+        stores.append(store)
+        return grid(mu, profile, s, t, xi, store=store)
 
     def phase_start(store, s, t, lo=0):
-        assert seen[-1][0] == t and seen[-1][2] is None
+        assert seen[-1][0] == t and seen[-1][2] is None and store is stores[-1]
         seen[-1][2] = (store.nonzero, lo)
         return phase(store, s, t, lo)
 
@@ -176,6 +177,7 @@ def test_series_times_are_slices_of_one_lattice(monkeypatch):
     times = list(np.geomspace(1.0, 1.0e3, 7))
     radial.linear_decay_series(4.0, CONST, G, H, times)
     assert [t for t, _, _ in seen] == times
+    assert all(store is stores[0] for store in stores)
     xi_max = radial._default_xi_max(G, H)
     lattice = radial._lattice(xi_max, 12, radial._bounds(CONST.Lambda_at(times[-1]), xi_max)[0])
     phased = 0
@@ -325,11 +327,48 @@ def test_nodes_per_output_time_stay_bounded(bessel_points):
     assert points[1] <= 2 * points[0]
 
 
-def test_phase_beyond_tau_max_raises():
+def test_phase_beyond_tau_max_raises(monkeypatch):
     with pytest.raises(DomainError, match="TAU_MAX"):
         radial.linear_norm_radial(4.0, CONST, G, H, 1.0e7)
+    # a series evaluates no Bessel argument above TAU_MAX and none at a time
+    # whose call reads none; the error comes from that time's own call
+    args, calls = [], []
+    norm = radial.linear_norm_radial
+    for name in ("_jy", "jy_extended"):
+        def recorded(nu, tau, fn=getattr(multipliers, name)):
+            args.append(np.asarray(tau, dtype=float))
+            return fn(nu, tau)
+        monkeypatch.setattr(multipliers, name, recorded)
+
+    def called(*a, **kwargs):
+        calls.append(a[4])
+        return norm(*a, **kwargs)
+
+    monkeypatch.setattr(radial, "linear_norm_radial", called)
+
+    def evaluated_at(t, times, xi_max=radial._default_xi_max(G, H)):
+        lattice = radial._lattice(xi_max, 12, radial._bounds(CONST.Lambda_at(times[-1]),
+                                                              xi_max)[0])
+        return np.isin(CONST.Lambda_at(t) * lattice, np.concatenate(args)).any()
+
+    # t = 1e7 reaches tau = 1.2e8 in its Filon zone, and 2e7 is never read
+    times = [1.0, 1.0e7, 2.0e7]
     with pytest.raises(DomainError, match="TAU_MAX"):
-        radial.linear_decay_series(4.0, CONST, G, H, [1.0, 1.0e7])
+        radial.linear_decay_series(4.0, CONST, G, H, times)
+    assert calls == times[:2] and max(float(a.max()) for a in args) <= multipliers.TAU_MAX
+    assert evaluated_at(1.0, times) and not evaluated_at(2.0e7, times)
+    # a time before s raises in its call, before anything is evaluated
+    args.clear()
+    calls.clear()
+    with pytest.raises(DomainError, match="0 <= s <= t"):
+        radial.linear_decay_series(4.0, CONST, G, H, [1.0, 10.0], s=5.0)
+    assert calls == [1.0] and args == []
+    # with xi_max below xi_lo at t = 1, that time's norms are zero unread
+    args.clear()
+    times = [1.0, 100.0]
+    series = radial.linear_decay_series(4.0, CONST, G, H, times, xi_max=1e-6)
+    assert series.tracks["L2"][0] == 0.0 < series.tracks["L2"][1]
+    assert evaluated_at(100.0, times, 1e-6) and not evaluated_at(1.0, times, 1e-6)
 
 
 def test_series_evaluates_sigma_once_through_the_module_bindings(bessel_points, monkeypatch):
@@ -357,23 +396,21 @@ def test_series_evaluates_sigma_once_through_the_module_bindings(bessel_points, 
     monkeypatch.setattr(radial, "phase_factors", counted_phase)
     series = radial.linear_decay_series(4.0, CONST, G, H, times)
     assert calls == times
-    # sigma on the whole lattice once, before the first time; per time the
-    # nodes below the phase form at sigma and tau, and the phase form's nodes
-    # at tau only
+    # sigma on the whole lattice once and tau once on each time's nodes,
+    # all of it between the calls: both zones of a time read the sigma side
+    # from the series' node at s and share one node at t
     assert 0 < len(phase_times) < len(times)
     xi_max = radial._default_xi_max(G, H)
     lattice = radial._lattice(xi_max, 12, radial._bounds(CONST.Lambda_at(times[-1]), xi_max)[0])
-    per_time = 0
-    for t in times:
-        xi_lo, xi_split = radial._bounds(CONST.Lambda_at(t), xi_max)
-        a = radial._zone_start(lattice, xi_lo)
-        c = radial._zone_start(lattice, xi_split) if t in phase_times else lattice.size
-        per_time += 2 * (c - a) + lattice.size - c
-    assert inside[0] == per_time and bessel_points[0] == lattice.size + per_time
+    per_time = sum(lattice.size - radial._zone_start(lattice, radial._bounds(
+        CONST.Lambda_at(t), xi_max)[0]) for t in times)
+    assert inside[0] == 0 and bessel_points[0] == lattice.size + per_time
+    # these times fit one batch: one call per precision
+    assert bessel_points[1] == 2
     # the same numbers as standalone calls, which evaluate sigma themselves
     for t, l2, energy in zip(times, series.tracks["L2"], series.tracks["energy"]):
         r = norm(4.0, CONST, G, H, t, rtol=1e-5, pts_per_period=12)
-        assert (r.l2, r.energy) == pytest.approx((l2, energy), rel=1e-14)
+        assert (r.l2, r.energy) == (l2, energy)
 
 
 def test_grid_run_matches_radial_series():

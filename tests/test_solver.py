@@ -336,16 +336,19 @@ def test_radial_norm_evaluates_every_node(bessel_points, monkeypatch):
 
     nodes = {"log": 0, "filon": 0}
     calls = {"log": 0, "filon": 0}
+    stores = []
     phi_values_grid, phase_factors = radial.phi_values_grid, radial.phase_factors
 
-    def counted(mu, profile, s, t, xi):
+    def counted(mu, profile, s, t, xi, *, store):
         calls["log"] += 1
         nodes["log"] += np.size(xi)
-        return phi_values_grid(mu, profile, s, t, xi)
+        stores.append(store)
+        return phi_values_grid(mu, profile, s, t, xi, store=store)
 
     def counted_phase(store, s, t, lo=0):
         calls["filon"] += 1
         nodes["filon"] += store.nonzero.size - lo
+        stores.append(store)
         return phase_factors(store, s, t, lo)
 
     monkeypatch.setattr(radial, "phi_values_grid", counted)
@@ -353,11 +356,11 @@ def test_radial_norm_evaluates_every_node(bessel_points, monkeypatch):
     radial.linear_norm_radial(4.0, CONST, radial.gaussian_spectrum(1.0, 1.0),
                               radial.gaussian_spectrum(0.7, 1.2), 10.0, rtol=1e-5,
                               pts_per_period=12)
-    # one multiplier evaluation per zone serves both resolutions; quadrature
-    # nodes are distinct and the junction of the zones is evaluated once, by
-    # the Filon zone; one Bessel point per node at sigma and one at tau, each
-    # returning both orders
-    assert calls == {"log": 1, "filon": 1}
+    # one multiplier evaluation per zone, both on one store, serves both
+    # resolutions; quadrature nodes are distinct and the junction of the
+    # zones is evaluated once, by the Filon zone; one Bessel point per node
+    # at sigma and one at tau, each returning both orders
+    assert calls == {"log": 1, "filon": 1} and stores[0] is stores[1]
     assert nodes["log"] > 0 and nodes["filon"] > 0
     assert bessel_points[0] == 2 * (nodes["log"] + nodes["filon"])
     # a zone evaluates sigma and tau together, in one call per precision: at
@@ -424,7 +427,7 @@ def _without_prefetch(monkeypatch):
     it, as before batching."""
     from dampwave import multipliers
 
-    monkeypatch.setattr(multipliers.NodeStore, "prefetch", lambda store, times: None)
+    monkeypatch.setattr(multipliers.NodeStore, "prefetch", lambda store, pairs: None)
 
 
 def _counted_steps(monkeypatch):
@@ -496,10 +499,10 @@ def test_run_below_one_step_per_batch_takes_a_step_per_chunk(monkeypatch):
     chunks = []
     prefetch = multipliers.NodeStore.prefetch
 
-    def recorded(store, times):
+    def recorded(store, pairs):
         assert store.batch_nodes == 1
-        chunks.append(len(times))
-        prefetch(store, times)
+        chunks.append(len({t for pair in pairs for t in pair}))
+        prefetch(store, pairs)
 
     monkeypatch.setattr(multipliers.NodeStore, "prefetch", recorded)
     steps = _counted_steps(monkeypatch)
@@ -526,8 +529,8 @@ def test_run_reads_its_plan_one_chunk_ahead(bessel_points, monkeypatch):
     held = []
     prefetch = multipliers.NodeStore.prefetch
 
-    def recorded(store, times):
-        prefetch(store, times)
+    def recorded(store, pairs):
+        prefetch(store, pairs)
         held.append((len(store.nodes), store.batch_nodes))
 
     class Stop(Exception):
