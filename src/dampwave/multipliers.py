@@ -23,15 +23,15 @@ where sigma = Lambda(s)|xi|.  The Im-form is used throughout: it is exactly
 real, which is also why all four entries carry zero imaginary part.
 The entries are formed in two stages: J and Y at orders rho and rho - 1 at
 one time node, for the sorted distinct |xi| (NodeStore) or a suffix of
-them, then the cross products of the nodes at s and t, split by precision
-in ``_pair_parts``; ``_fill`` evaluates the values of any set of nodes in
-one call per precision, and ``NodeStore.prefetch`` has it fill what a list
-of pairs (s, t) will read.  ``phi_values_grid`` gives the entries on all of
-a store's |xi| or on a contiguous run of them.  ``phase_factors`` gives the
-same entries in phase form, Im[W e^{i phi}] with phi = (Lambda(t) -
-Lambda(s))|xi|, for quadratures that integrate the phase in closed form: W
-is the whole complex cross product conj(H+(sigma)) H+(tau), from the same J
-and Y products, turned by e^{-i phi}, and varies slowly in |xi|.
+them, then the cross products of the nodes at s and t in ``_cross``, which
+reads the pair through ``NodeStore._read``; ``_fill`` evaluates the values
+of any set of nodes in one call per precision, and ``NodeStore.prefetch``
+has it fill what a list of pairs (s, t) will read.  ``phi_values_grid``
+gives the entries on all of a store's |xi| or on a contiguous run of them.
+``phase_factors`` gives the same entries in phase form, Im[W e^{i phi}]
+with phi = (Lambda(t) - Lambda(s))|xi|, for quadratures that integrate the
+phase in closed form: W is the whole complex cross product conj(H+(sigma))
+H+(tau), from the same loop, turned by e^{-i phi}, and varies slowly in |xi|.
 
 The module also provides a brute-force per-mode ODE oracle (independent of
 the special functions), the frequency-zone classifier, and an empirical
@@ -171,32 +171,6 @@ def _fill(rho, wants):
             nd.ext, nd.hi = [np.concatenate(p) for p in zip(nd.ext, values)], hi
 
 
-def _pair_parts(store, at_s, at_t, lo=0, hi=None, wants=None):
-    """The one precision split of a pair (s, t), on the store's nonzero |xi|
-    indices lo:hi (hi defaults to the end), from which both nodes start:
-    longdouble where sigma = Lambda(s)|xi| < _EXT_SIGMA, float64 above.
-    Fills what the nodes lack, then returns (p_lo, p_hi, values at sigma,
-    values at tau) per part, each (J_rho, Y_rho, J_{rho-1}, Y_{rho-1}) on |xi|
-    indices p_lo:p_hi.  Given a list ``wants``, it appends the pair's
-    ``_fill`` requests to it instead, for a later fill, and returns nothing."""
-    hi = store.nonzero.size if hi is None else hi
-    k = min(max(lo, at_s.start + at_s.n_ext), hi)
-    nodes = at_s, at_t
-    requests = [(nd, k - nd.start if k < hi else nd.args.size, k - nd.start if k > lo else 0)
-                for nd in nodes]
-    if wants is not None:
-        wants += requests
-        return []
-    _fill(store.rho, requests)
-    parts = []
-    if k > lo:
-        parts.append((lo, k, *([v[lo - nd.start:k - nd.start] for v in nd.ext] for nd in nodes)))
-    if k < hi:
-        parts.append((k, hi, *([v[k - nd.start - nd.lo:hi - nd.start - nd.lo] for v in nd.double]
-                               for nd in nodes)))
-    return parts
-
-
 # Bessel points (distinct nonzero |xi| times nodes) that NodeStore.prefetch
 # is given to evaluate in one float64 and one extended call
 BATCH_POINTS = 2**15
@@ -206,18 +180,17 @@ class NodeStore:
     """Bessel values per time node for one (mu, profile, xi).
 
     Holds the distinct values of xi, sorted, with the inverse that gathers
-    them back to xi's shape, and the Bessel values at recent times.  A
-    caller stepping through time passes one store to every phi_values_grid
-    call, so a time shared by consecutive pairs (s, t) is evaluated once.
+    them back to xi's shape, and the Bessel values at the times of the
+    latest pairs (s, t) it was given.  A caller stepping through time passes
+    one store to every phi_values_grid call, so a time shared by
+    consecutive pairs is evaluated once.
 
-    A time the store does not hold gets a node of its own, which replaces
-    the node asked for least recently once MAX_NODES are held.  A caller
-    that knows its pairs (s, t) in advance hands them to ``prefetch``, which
-    evaluates their nodes together; ``batch_nodes`` is how many new nodes
-    keep such a batch within BATCH_POINTS Bessel points.
+    A pair read that the held nodes do not cover makes the store hold that
+    pair's nodes alone.  A caller that knows its pairs in advance hands them
+    to ``prefetch``, which holds and evaluates their nodes together;
+    ``batch_nodes`` is how many new nodes keep such a batch within
+    BATCH_POINTS Bessel points.
     """
-
-    MAX_NODES = 3
 
     def __init__(self, mu, profile, xi):
         self.rho = _check_orders(mu)
@@ -233,48 +206,79 @@ class NodeStore:
             raise DomainError("xi must be nonnegative")
         self.n_zero = int(self.values.size > 0 and self.values[0] == 0.0)
         self.nonzero = self.values[self.n_zero:]
-        self.nodes = {}  # t -> _Node, least recently asked for first
+        self.nodes = {}  # t -> _Node, the nodes of the latest hold
         self.batch_nodes = max(1, BATCH_POINTS // max(1, self.nonzero.size))
 
-    def node(self, t, lo=0):
-        """The node at t, starting at or below nonzero |xi| index lo; a time
-        not held, or held from above lo, gets a new node from lo."""
-        nd = self.nodes.pop(t, None)
-        if nd is None or nd.start > lo:
-            if nd is None and len(self.nodes) >= self.MAX_NODES:
-                del self.nodes[next(iter(self.nodes))]
-            nd = _Node(self, t, lo)
-        self.nodes[t] = nd
-        return nd
+    def _held(self, t, lo):
+        """The node held at t if it starts at or below index lo, else None."""
+        nd = self.nodes.get(t)
+        return nd if nd is not None and nd.start <= lo else None
 
-    def prefetch(self, pairs):
-        """Evaluate the nodes of the ``pairs`` the caller will ask for, in
-        any order, in one call per precision, and then hold only those nodes;
-        a node held already keeps its values.  No pairs change nothing.
-
-        A pair is (s, t), read on all of the nonzero |xi|, or (s, t, lo),
-        read from index lo on; its node at t then starts at lo, unless that
-        time is also the s of a pair.  Each node gets what ``_pair_parts``
-        reads of it in its pairs.  A pair whose phases are rejected (above
-        TAU_MAX or not finite) gets no values here, nor do the pairs after
-        it, so the call that reads it raises as without a prefetch.
-        """
-        if not pairs:
-            return
-        reads = [(s, t, lo[0] if lo else 0) for s, t, *lo in pairs]
+    def _hold(self, reads):
+        """Hold only the nodes of ``reads``, pairs (s, t, lo) read on the
+        nonzero |xi| from index lo on: the node at each s from index 0, the
+        node at each other t from the smallest lo of its reads.  A held node
+        that starts at or below that index keeps its values."""
         starts = {}
         for s, t, lo in reads:
             starts[s] = 0
             starts[t] = min(starts.get(t, lo), lo)
-        held = self.nodes
-        self.nodes = {x: held[x] if x in held and held[x].start <= start else _Node(self, x, start)
+        self.nodes = {x: self._held(x, start) or _Node(self, x, start)
                       for x, start in starts.items()}
+
+    def _requests(self, s, t, lo, hi):
+        """The one precision split of the held pair (s, t) on nonzero |xi|
+        indices lo:hi, from which both nodes start: longdouble where sigma =
+        Lambda(s)|xi| < _EXT_SIGMA, float64 above.  Checks the pair's phases
+        and returns the index at which float64 takes over and the pair's
+        ``_fill`` requests."""
+        at_s, at_t = self.nodes[s], self.nodes[t]
+        _check_phases(at_t.args[lo - at_t.start:hi - at_t.start])
+        k = min(max(lo, at_s.start + at_s.n_ext), hi)
+        return k, [(nd, k - nd.start if k < hi else nd.args.size, k - nd.start if k > lo else 0)
+                   for nd in (at_s, at_t)]
+
+    def _read(self, s, t, lo, hi):
+        """The one read of a pair (s, t) on nonzero |xi| indices lo:hi: holds
+        the pair's nodes unless both are held from lo or below, checks its
+        phases, fills what it lacks, and returns its nodes at s and t and
+        (p_lo, p_hi, values at sigma, values at tau) per precision part, each
+        (J_rho, Y_rho, J_{rho-1}, Y_{rho-1}) on |xi| indices p_lo:p_hi."""
+        if not (self._held(s, lo) and self._held(t, lo)):
+            self._hold([(s, t, lo)])
+        k, requests = self._requests(s, t, lo, hi)
+        _fill(self.rho, requests)
+        nodes = at_s, at_t = self.nodes[s], self.nodes[t]
+        parts = []
+        if k > lo:
+            parts.append((lo, k, *([v[lo - nd.start:k - nd.start] for v in nd.ext]
+                                   for nd in nodes)))
+        if k < hi:
+            parts.append((k, hi, *([v[k - nd.start - nd.lo:hi - nd.start - nd.lo]
+                                    for v in nd.double] for nd in nodes)))
+        return at_s, at_t, parts
+
+    def prefetch(self, pairs):
+        """Hold the nodes of the ``pairs`` the caller will read, in any
+        order, and evaluate what those reads take in one call per precision;
+        a node held already keeps its values.  No pairs change nothing.
+
+        A pair is (s, t), read on all of the nonzero |xi|, or (s, t, lo),
+        read from index lo on; nodes are held as ``_read`` holds a pair's.
+        A pair whose phases are rejected (above TAU_MAX, overflowed ones
+        included) gets no values here, nor do the pairs after it, so the
+        read of it raises as without a prefetch.
+        """
+        if not pairs:
+            return
+        reads = [(s, t, lo[0] if lo else 0) for s, t, *lo in pairs]
+        self._hold(reads)
         wants = []
         for s, t, lo in reads:
-            at_s, at_t = self.nodes[s], self.nodes[t]
-            if any(nd.args.size and not nd.args[-1] <= TAU_MAX for nd in (at_s, at_t)):
+            try:
+                wants += self._requests(s, t, lo, self.nonzero.size)[1]
+            except DomainError:
                 break
-            _pair_parts(self, at_s, at_t, lo, wants=wants)
         _fill(self.rho, wants)
 
 
@@ -303,8 +307,11 @@ def phi_values_grid(mu, profile, s, t, xi, *, store=None):
         shape = np.shape(xi)
         return np.ones(shape), np.zeros(shape), np.zeros(shape), np.ones(shape)
     if lo is not None:
-        return _assemble(store, store.node(s, lo), store.node(t, lo), lo, lo + xi.size)
-    entries = _assemble(store, store.node(s), store.node(t))
+        return tuple(_cross(store, s, t, lo, lo + xi.size)[2])
+    at_s, at_t, entries = _cross(store, s, t, 0, store.nonzero.size)
+    if store.n_zero:
+        zero = _zero_mode_values(store.mu, at_s.lam, at_t.lam, at_s.Lam, at_t.Lam)
+        entries = [np.concatenate([[z], e]) for z, e in zip(zero, entries)]
     return tuple(e[store.inverse].reshape(store.shape) for e in entries)
 
 
@@ -336,28 +343,28 @@ def _entry_terms(rho, lam_s, Lam_s, lam_t, Lam_t):
             (-half_pi * lam_t * pref, 2, 1, 1), (half_pi * lam_t / lam_s * pref, 1, 0, 1))
 
 
-def _assemble(store, at_s, at_t, lo=0, hi=None):
-    """Propagator entries from two time nodes at the store's distinct |xi|,
-    or, given hi, at its nonzero |xi| lo:hi."""
-    z = store.n_zero if hi is None else 0
-    hi = store.nonzero.size if hi is None else hi
-    _check_phases(at_t.args[lo - at_t.start:hi - at_t.start])
-    entries = [np.empty(z + hi - lo) for _ in range(4)]
-    if z:
-        vals = _zero_mode_values(store.mu, at_s.lam, at_t.lam, at_s.Lam, at_t.Lam)
-        for e, v in zip(entries, vals):
-            e[0] = v
+def _cross(store, s, t, lo, hi, whole=False):
+    """The one loop over a pair's cross products conj(H+_a(sigma))
+    H+_b(tau), scaled per entry as ``_entry_terms`` gives them, on the
+    store's nonzero |xi| indices lo:hi.  Returns the pair's nodes at s and t
+    and, per entry, its values, the products' imaginary parts, or, if
+    ``whole``, the complex products themselves."""
+    at_s, at_t, parts = store._read(s, t, lo, hi)
     terms = _entry_terms(store.rho, at_s.lam, at_s.Lam, at_t.lam, at_t.Lam)
-    for p_lo, p_hi, at_sigma, at_tau in _pair_parts(store, at_s, at_t, lo, hi):
-        xe = store.nonzero[p_lo:p_hi]
-        out = slice(z + p_lo - lo, z + p_hi - lo)
-        for entry, (scale, power, a, b) in zip(entries, terms):
-            # Im[conj(J + iY) (J' + iY')] = J Y' - Y J'
-            psi = at_sigma[2 * a] * at_tau[2 * b + 1] - at_sigma[2 * a + 1] * at_tau[2 * b]
-            if power:
-                psi = psi * xe**power
-            entry[out] = scale * psi.astype(float)
-    return tuple(entries)
+    out = [np.empty(hi - lo, dtype=complex if whole else float) for _ in range(4)]
+    for p_lo, p_hi, at_sigma, at_tau in parts:
+        x = store.nonzero[p_lo:p_hi]
+        cut = slice(p_lo - lo, p_hi - lo)
+        for o, (scale, power, a, b) in zip(out, terms):
+            j, y, j_t, y_t = at_sigma[2 * a], at_sigma[2 * a + 1], at_tau[2 * b], at_tau[2 * b + 1]
+            # conj(J + iY) (J' + iY') = (J J' + Y Y') + i (J Y' - Y J')
+            psi = j * y_t - y * j_t
+            if whole:
+                o[cut] = (scale * x**power) * ((j * j_t + y * y_t).astype(float)
+                                               + 1j * psi.astype(float))
+            else:
+                o[cut] = scale * (psi * x**power if power else psi).astype(float)
+    return at_s, at_t, out
 
 
 def phase_factors(store, s, t, lo=0):
@@ -366,29 +373,17 @@ def phase_factors(store, s, t, lo=0):
 
     Returns complex factors (W0, W1, Wd0, Wd1) with each entry (phi0, phi1,
     dphi0, dphi1) = Im[W exp(i phi)], phi = (Lambda(t) - Lambda(s))|xi|:
-    W = scale |xi|^k conj(H+_a(sigma)) H+_b(tau) e^{-i phi}, the cross
-    products of ``_assemble`` with the phase taken out, so W varies slowly
-    in |xi| once tau is past the order.  Both sides are read from the
-    store's nodes at s and t, as ``phi_values_grid`` reads them for a run,
-    with the precision split of ``_pair_parts``.  Raises DomainError unless
-    0 <= s <= t, and for a phase beyond TAU_MAX.
+    W = scale |xi|^k conj(H+_a(sigma)) H+_b(tau) e^{-i phi}, the whole cross
+    products of ``_cross`` with the phase taken out, so W varies slowly in
+    |xi| once tau is past the order.  The pair is read from the store's
+    nodes at s and t as ``phi_values_grid`` reads a run.  Raises DomainError
+    unless 0 <= s <= t, and for a phase beyond TAU_MAX.
     """
     if not (0.0 <= s <= t):
         raise DomainError("need 0 <= s <= t")
-    at_s, at_t = store.node(s, lo), store.node(t, lo)
-    _check_phases(at_t.args[lo - at_t.start:])
-    factors = [np.empty(store.nonzero.size - lo, dtype=complex) for _ in range(4)]
-    terms = _entry_terms(store.rho, at_s.lam, at_s.Lam, at_t.lam, at_t.Lam)
+    at_s, at_t, cross = _cross(store, s, t, lo, store.nonzero.size, whole=True)
     turn = np.exp(-1j * (at_t.Lam - at_s.Lam) * store.nonzero[lo:])
-    for p_lo, p_hi, at_sigma, at_tau in _pair_parts(store, at_s, at_t, lo):
-        x = store.nonzero[p_lo:p_hi]
-        out = slice(p_lo - lo, p_hi - lo)
-        for w, (scale, power, a, b) in zip(factors, terms):
-            # conj(J + iY) (J' + iY') = (J J' + Y Y') + i (J Y' - Y J')
-            j, y, j_t, y_t = at_sigma[2 * a], at_sigma[2 * a + 1], at_tau[2 * b], at_tau[2 * b + 1]
-            cross = (j * j_t + y * y_t).astype(float) + 1j * (j * y_t - y * j_t).astype(float)
-            w[out] = (scale * x**power) * cross * turn[out]
-    return tuple(factors)
+    return tuple(w * turn for w in cross)
 
 
 def phi_values(mu, profile, s, t, xi):

@@ -47,7 +47,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -94,34 +94,19 @@ class Grid:
     @cached_property
     def radius(self):
         """|x| on the grid."""
-        r2 = np.zeros(self.shape)
-        for d in range(self.n):
-            sh = [1] * self.n
-            sh[d] = self.N
-            r2 = r2 + (self.axis**2).reshape(sh)
-        return np.sqrt(r2)
+        return np.sqrt(sum(np.ix_(*[self.axis**2] * self.n)))
 
     @cached_property
     def wavenumbers(self):
-        """Per-axis angular wavenumbers in rfftn layout."""
-        ks = []
-        for d in range(self.n):
-            if d == self.n - 1:
-                k = 2.0 * math.pi * np.fft.rfftfreq(self.N, d=self.h)
-            else:
-                k = 2.0 * math.pi * np.fft.fftfreq(self.N, d=self.h)
-            sh = [1] * self.n
-            sh[d] = len(k)
-            ks.append(k.reshape(sh))
-        return ks
+        """Per-axis angular wavenumbers in rfftn layout, as open meshes."""
+        k = 2.0 * math.pi * np.fft.fftfreq(self.N, d=self.h)
+        k_last = 2.0 * math.pi * np.fft.rfftfreq(self.N, d=self.h)
+        return list(np.ix_(*[k] * (self.n - 1), k_last))
 
     @cached_property
     def xi(self):
         """|xi| in rfftn layout."""
-        mag2 = np.zeros(self.spectral_shape)
-        for k in self.wavenumbers:
-            mag2 = mag2 + k**2
-        return np.sqrt(mag2)
+        return np.sqrt(sum(k**2 for k in self.wavenumbers))
 
     @property
     def spectral_shape(self):
@@ -130,17 +115,9 @@ class Grid:
     @cached_property
     def dealias_mask(self):
         """2/3-rule mask: keep |index| <= N//3 on every axis."""
-        keep = np.ones(self.spectral_shape, dtype=bool)
-        cut = self.N // 3
-        for d in range(self.n):
-            if d == self.n - 1:
-                idx = np.arange(self.N // 2 + 1)
-            else:
-                idx = np.abs(np.fft.fftfreq(self.N, d=1.0 / self.N))
-            sh = [1] * self.n
-            sh[d] = len(idx)
-            keep = keep & (idx.reshape(sh) <= cut)
-        return keep
+        idx = np.abs(np.fft.fftfreq(self.N, d=1.0 / self.N))
+        meshes = np.ix_(*[idx] * (self.n - 1), np.arange(self.N // 2 + 1))
+        return reduce(np.logical_and, (m <= self.N // 3 for m in meshes))
 
     @cached_property
     def l2_weight(self):

@@ -251,15 +251,28 @@ def test_phase_factors_are_the_cross_products_turned_by_the_phase():
 
 
 def test_phase_factors_keep_the_node_at_s(bessel_points):
-    # every call holds its node at t in the store; the node at s, which
-    # every call asks for, is never the least recently asked for, so sigma
-    # is evaluated once
+    # every call holds the nodes of its pair; the node at s, held from
+    # index 0 and read by every call, keeps its values, so sigma is
+    # evaluated once
     xi = np.geomspace(0.01, 5.0, 200)
     store = mp.NodeStore(4.0, CONST, xi)
     for t in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0):
         mp.phase_factors(store, 0.0, t)
     assert bessel_points[0] == 7 * xi.size
-    assert len(store.nodes) == mp.NodeStore.MAX_NODES and 0.0 in store.nodes
+    assert set(store.nodes) == {0.0, 6.0}
+
+
+def test_a_read_holds_its_node_at_s_from_index_0(bessel_points):
+    # a read the store does not cover holds its node at s from index 0 and
+    # its node at t from the index it reads from, so later reads of the same
+    # s from lower indices keep the node at s: sigma is evaluated once
+    xi = np.geomspace(0.01, 5.0, 200)
+    store = mp.NodeStore(4.0, CONST, xi)
+    reads = ((1.0, 150), (2.0, 100), (3.0, 0))
+    for t, lo in reads:
+        mp.phase_factors(store, 0.0, t, lo)
+        assert store.nodes[0.0].start == 0 and store.nodes[t].start == lo
+    assert bessel_points[0] == xi.size + sum(xi.size - lo for _, lo in reads)
 
 
 def _undeduplicated(mu, prof, s, t, xi):
@@ -361,7 +374,9 @@ def test_store_matches_reference_across_pairs(mu, prof, bessel_points):
         assert bessel_points[1] - calls <= 2
         for g, r in zip(got, _undeduplicated(mu, prof, s, t, xi)):
             assert np.array_equal(g, r)
-        assert len(store.nodes) <= mp.NodeStore.MAX_NODES
+        # a pair that reads a node the store lacks holds that pair's nodes
+        if t > s:
+            assert set(store.nodes) == {s, t}
 
 
 @pytest.mark.parametrize("mu, prof", [(4.0, CONST), (3.0, POLY)])
@@ -425,6 +440,32 @@ def test_store_for_other_inputs_is_rejected():
     for args in ((3.0, CONST, xi), (4.0, POLY, xi), (4.0, CONST, xi.copy())):
         with pytest.raises(ValueError, match="store"):
             mp.phi_values_grid(args[0], args[1], 0.0, 1.0, args[2], store=store)
+
+
+def test_run_of_a_used_store_matches_its_own_store():
+    # the run form reads a contiguous run of a store's nonzero |xi| from the
+    # store's nodes; runs across sigma = Lambda(s)|xi| = 1, read from a
+    # store that other pairs and runs have used, equal the same values
+    # through a store of their own
+    xi = np.concatenate([[0.0], np.geomspace(0.05, 20.0, 300), [0.5, 0.5, 0.0]])
+    store = mp.NodeStore(4.0, CONST, xi)
+    mp.phi_values_grid(4.0, CONST, 0.0, 0.3, xi, store=store)
+    mp.phase_factors(store, 0.3, 0.6, 40)
+    for s, t, a, b in ((0.0, 0.3, 0, 300), (0.3, 0.6, 40, 250), (0.3, 0.6, 10, 120),
+                       (0.6, 3.5, 150, 151), (0.0, 3.5, 5, 290)):
+        run = store.nonzero[a:b]
+        got = mp.phi_values_grid(4.0, CONST, s, t, run, store=store)
+        for g, r in zip(got, mp.phi_values_grid(4.0, CONST, s, t, run.copy())):
+            assert g.shape == run.shape and g.dtype == np.float64
+            assert np.array_equal(g, r)
+    # a strided or shifted copy of a run is not a run of the store
+    run = store.nonzero[10:50]
+    for other in (store.nonzero[10:50:2], np.nextafter(run, np.inf), run + 1e-3):
+        with pytest.raises(ValueError, match="store"):
+            mp.phi_values_grid(4.0, CONST, 0.0, 1.0, other, store=store)
+    # an empty run gives empty entries
+    for e in mp.phi_values_grid(4.0, CONST, 0.0, 1.0, store.nonzero[:0], store=store):
+        assert e.shape == (0,) and e.dtype == np.float64
 
 
 def test_equal_xi_gives_equal_entries():

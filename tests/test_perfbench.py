@@ -1,5 +1,6 @@
 """The benchmark's layer tracer finds every name it patches in dampwave and
-counts a radial series' calls, nodes and Bessel points."""
+counts the calls, nodes and Bessel points of a radial series and of a
+simulate run."""
 
 import json
 import pathlib
@@ -56,3 +57,40 @@ def test_tracer_counts_a_radial_series():
     assert counted["specfun.points"] == report["points"] > 0
     # the series evaluates its times' Bessel values in batches, not per time
     assert counted["specfun.calls"] <= 4
+
+
+SIMULATE_UNDER_TRACER = """
+import json, random, sys
+sys.path[:0] = ['perfbench', 'src']
+import numpy as np
+from dampwave import multipliers, solver
+points = [0]
+for name in ('_jy', 'jy_extended'):
+    def counted(nu, tau, fn=getattr(multipliers, name)):
+        points[0] += np.size(tau)
+        return fn(nu, tau)
+    setattr(multipliers, name, counted)
+from layers import Tracer, install, metrics
+from workloads import WORKLOADS
+tracer = Tracer()
+missing = install(tracer)
+workload = WORKLOADS['semilinear_3d']
+solver.simulate(workload.setup(workload.inputs(random.Random(7)))['cfg'])
+print(json.dumps({"missing": missing, "points": points[0], "metrics": metrics(tracer)}))
+"""
+
+
+def test_tracer_counts_a_simulate_run():
+    # the semilinear_3d workload reads these counters: two multiplier
+    # evaluations per Duhamel step (the solver calls the module binding
+    # multipliers.phi_values_grid), and every Bessel point and call, which
+    # the store's prefetch makes in one call per precision
+    out = subprocess.run([sys.executable, "-c", SIMULATE_UNDER_TRACER], cwd=ROOT,
+                         capture_output=True, text=True, check=True, timeout=120)
+    report = json.loads(out.stdout.splitlines()[-1])
+    assert report["missing"] == []
+    counted = report["metrics"]
+    assert counted["solver.steps"] > 0
+    assert counted["multipliers.calls"] == 2 * counted["solver.steps"]
+    assert counted["specfun.points"] == report["points"] > 0
+    assert counted["specfun.calls"] == 2

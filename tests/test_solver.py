@@ -33,6 +33,30 @@ def test_grid_validation():
     assert big.grid.L == pytest.approx(1e300) and math.isfinite(big.grid.h)
 
 
+@pytest.mark.parametrize("n, N", [(1, 64), (2, 32), (3, 16)])
+def test_grid_arrays_match_per_axis_loops(n, N):
+    # reference: each axis's 1-D array reshaped to broadcast along axis d,
+    # summed or combined in axis order as the open meshes are
+    grid = sv.Grid(n=n, N=N, L=7.0)
+
+    def along(d, a):
+        return a.reshape([a.size if e == d else 1 for e in range(n)])
+
+    freq = [np.fft.fftfreq(N, d=grid.h)] * (n - 1) + [np.fft.rfftfreq(N, d=grid.h)]
+    ks = [along(d, 2.0 * math.pi * f) for d, f in enumerate(freq)]
+    index = [np.abs(np.fft.fftfreq(N, d=1.0 / N))] * (n - 1) + [np.arange(N // 2 + 1)]
+    r2, mag2 = np.zeros(grid.shape), np.zeros(grid.spectral_shape)
+    keep = np.ones(grid.spectral_shape, dtype=bool)
+    for d in range(n):
+        r2 = r2 + along(d, grid.axis**2)
+        mag2 = mag2 + ks[d] ** 2
+        keep = keep & (along(d, index[d]) <= N // 3)
+    for got, ref in [(grid.radius, np.sqrt(r2)), (grid.xi, np.sqrt(mag2)),
+                     (grid.dealias_mask, keep), *zip(grid.wavenumbers, ks)]:
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+
+
 def test_initial_data_norms():
     grid = grid1d(N=1024, L=16.0)
     u0, u1 = sv.make_initial_data(grid, "gaussian", amplitude=0.1, width=1.0)
@@ -391,14 +415,14 @@ def test_node_store_steps_match_one_shot(mu, prof):
         if i % 3 == 2:
             plain = sv.linear_step(plain, prof, mu, grid, dt)
             stored = sv.linear_step(stored, prof, mu, grid, dt, store=store)
-            times = {t0, plain.t}
+            last_pair = {t0, plain.t}
         else:
             plain = sv.duhamel_step(plain, prof, mu, grid, nl, dt)
             stored = sv.duhamel_step(stored, prof, mu, grid, nl, dt, store=store)
-            times = {t0, t0 + 0.5 * dt, plain.t}
+            last_pair = {t0 + 0.5 * dt, plain.t}
         assert np.array_equal(plain.u, stored.u) and np.array_equal(plain.ut, stored.ut)
-        # the nodes of this step are kept, and never more than three
-        assert times <= set(store.nodes) and len(store.nodes) <= 3
+        # the store holds the nodes of the step's last pair, and only those
+        assert set(store.nodes) == last_pair
 
 
 def test_run_evaluates_two_node_sets_per_step(bessel_points, monkeypatch):
