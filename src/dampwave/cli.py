@@ -19,12 +19,13 @@ import sys
 
 import numpy as np
 
-from . import analysis, multipliers, specfun
+from . import analysis, multipliers, scan, specfun
 from .analysis import _energy_border, _fmt
 from .config import CHECK_FORMAT, build_profile, parse_json, read, validate_config
 from .errors import (DampwaveError, DegenerateFitError, DomainError,
                      FitWindowError, IntegrationFailureError, QuadratureError,
                      ResourceCapError, UnsupportedOrderError, ValidationError)
+from .solver import BlowupRecord, simulate
 
 
 def write_snapshot(directory, state, grid, tag):
@@ -47,8 +48,6 @@ def write_snapshot(directory, state, grid, tag):
 
 
 def _cmd_simulate(args):
-    from .solver import BlowupRecord, simulate
-
     with open(args.config) as fh:
         cfg = validate_config(fh.read())
     series, final = simulate(cfg)
@@ -159,7 +158,7 @@ def _cmd_decay(args):
 def _cmd_scan(args):
     with open(args.config) as fh:
         scan_cfg = parse_json(fh.read())
-    result = analysis.run_scan(scan_cfg)
+    result = scan.run_scan(scan_cfg)
     result.write_dir(args.out)
     summary = {"cells": len(result.cells),
                "outcomes": {o: sum(1 for c in result.cells if c.outcome == o)
@@ -176,7 +175,7 @@ def _cmd_exponents(args):
 
 
 def _cmd_gn(args):
-    report = analysis.gn_verify(args.q, args.n, count=args.samples, seed=args.seed)
+    report = scan.gn_verify(args.q, args.n, count=args.samples, seed=args.seed)
     print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
     return 0
 

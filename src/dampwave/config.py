@@ -17,7 +17,7 @@ table does not name is one).  A run config follows ``RUN_FORMAT``:
 
 The canonical serialized form (sorted keys, defaults filled, ``mu`` in
 place of ``nu``, without ``memory_cap_bytes``) is hashed into the run id.
-The scan format (``SCAN_FORMAT``, read by ``analysis.run_scan``) and the
+The scan format (``SCAN_FORMAT``, read by ``scan.run_scan``) and the
 multiplier-check format (``CHECK_FORMAT``, read by the CLI) are tables here
 too.
 """
@@ -79,7 +79,7 @@ RUN_FORMAT = {
     "memory_cap_bytes": (int, 2_000_000_000, None),
 }
 
-# base: a run config; axes: axis name -> values (see analysis.run_scan);
+# base: a run config; axes: axis name -> values (see scan.run_scan);
 # workers: None defers to DAMPWAVE_THREADS, then to the CPU count
 SCAN_FORMAT = {
     "base": (RUN_FORMAT, REQUIRED, None),

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import NormSeries
 from .errors import DomainError, QuadratureError
 from .multipliers import (_NON_NEGATIVE, _POSITIVE, BATCH_POINTS, DEFAULT_K, NodeStore,
                           _check_fields, _sphere_area, phase_factors, phi_values_grid, rho_of)
@@ -321,8 +322,6 @@ def linear_decay_series(mu, profile, v0_hat, v1_hat, times, n=1, s=0.0,
     once for all of them.  Raises DomainError as linear_norm_radial does, and
     for times that are not strictly increasing, before building anything.
     """
-    from .analysis import NormSeries
-
     kwargs = {"rtol": 1e-5, "pts_per_period": 12} | kwargs
     if kwargs.get("xi_max") is None:
         kwargs["xi_max"] = _default_xi_max(v0_hat, v1_hat)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from dampwave import analysis, multipliers, profiles, radial
+from dampwave import analysis, multipliers, profiles, radial, scan
 from dampwave import solver as sv
 from dampwave.config import validate_config
 
@@ -197,7 +197,7 @@ def test_ac5_subcritical_blowup_scan():
         "axes": {"eps": [0.3, 0.55, 1.0]},
         "workers": 1,
     }
-    result = analysis.run_scan(scan_cfg)
+    result = scan.run_scan(scan_cfg)
     stars = []
     for eps in (0.3, 0.55, 1.0):
         cell = result.outcome_of(eps=eps)
@@ -531,8 +531,8 @@ def _prop_gn_scale_invariance(rng, n_cases):
     for i in range(n_cases):
         u, _ = sv.make_initial_data(grid, "mode_mix", amplitude=1.0, width=0.4,
                                     seed=int(rng.integers(0, 2**31)))
-        r1 = analysis._gn_ratio(grid, u, 4.0, theta)
-        r2 = analysis._gn_ratio(grid, 5.0 * u, 4.0, theta)
+        r1 = scan._gn_ratio(grid, u, 4.0, theta)
+        r2 = scan._gn_ratio(grid, 5.0 * u, 4.0, theta)
         assert r2 == pytest.approx(r1, rel=1e-12)
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dampwave import analysis
+from dampwave import analysis, scan
 from dampwave.errors import DegenerateFitError, DomainError, FitWindowError
 
 
@@ -123,18 +123,18 @@ def test_exponent_catalog_small_mu():
 
 
 def test_gn_verify():
-    rep = analysis.gn_verify(4.0, 1, count=60, seed=3, grid_n=128)
+    rep = scan.gn_verify(4.0, 1, count=60, seed=3, grid_n=128)
     assert rep.theta == pytest.approx(0.25)
     assert rep.passed and rep.max_ratio <= 2.0
     assert rep.scale_residual <= 1e-12
     assert rep.refinement_drift <= 1e-6
     # determinism
-    rep2 = analysis.gn_verify(4.0, 1, count=60, seed=3, grid_n=128)
+    rep2 = scan.gn_verify(4.0, 1, count=60, seed=3, grid_n=128)
     assert rep2.max_ratio == rep.max_ratio
 
 
 def test_gn_verify_2d():
-    rep = analysis.gn_verify(4.0, 2, count=20, seed=1, grid_n=64)
+    rep = scan.gn_verify(4.0, 2, count=20, seed=1, grid_n=64)
     assert rep.passed
     assert rep.scale_residual <= 1e-12
 
@@ -157,7 +157,7 @@ def test_run_scan_blowup_and_trivial_cells():
         "axes": {"eps": [0.0, 0.9]},
         "workers": 1,
     }
-    result = analysis.run_scan(scan_cfg)
+    result = scan.run_scan(scan_cfg)
     zero_cell = result.outcome_of(eps=0.0)
     assert zero_cell.outcome == "global_decay"
     assert zero_cell.reason == "zero solution"
@@ -171,7 +171,7 @@ def test_run_scan_threshold_marker_and_persistence(tmp_path):
     base = scan_base(T=5.0, N=256)
     base["data"]["amplitude"] = 1e-4
     scan_cfg = {"base": base, "axes": {"p": [2.0, 3.0, 4.0]}, "workers": 1}
-    result = analysis.run_scan(scan_cfg)
+    result = scan.run_scan(scan_cfg)
     marked = [c for c in result.cells if c.at_threshold]
     assert len(marked) == 1 and marked[0].params["p"] == 3.0  # p_crit = 1+2/1
     outdir = tmp_path / "scan"

@@ -1,13 +1,25 @@
-"""Static checks: every top-level import of a dampwave module is used, and every
-top-level definition is used in the package or exported."""
+"""Import checks.
+
+Static: every top-level import of a dampwave module is used, every top-level
+definition is used in the package or exported, no module imports a dampwave
+module inside a function, and the package's import graph has no cycles.
+Run time: the package namespace resolves its names lazily, and a fresh
+process loads only the modules a run uses.
+"""
 
 import ast
+import graphlib
+import json
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "dampwave"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "dampwave"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SUBMODULES = {f"dampwave.{p.stem}" for p in MODULES}
 
 
 def _unused_imports(tree):
@@ -38,7 +50,7 @@ def _top_level_names(tree):
     """Names a module defines at top level (functions, classes, assignments)."""
     names = {}
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("__"):
             names[node.name] = node.lineno
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -82,3 +94,94 @@ def test_every_top_level_definition_is_used_or_exported():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     unused = _unused_definitions(sources, dampwave.__all__)
     assert not unused, f"defined but neither used in the package nor exported: {unused}"
+
+
+def _package_targets(node):
+    """The dampwave modules an import statement names (bare stems)."""
+    if isinstance(node, ast.ImportFrom):
+        if node.level == 0 and not (node.module or "").startswith("dampwave"):
+            return []
+        module = (node.module or "").removeprefix("dampwave").lstrip(".")
+        if module:
+            return [module.split(".")[0]]
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[1] for alias in node.names
+                if alias.name.startswith("dampwave.")]
+    return []
+
+
+def _local_package_imports(tree):
+    """(line, module) of each dampwave import made inside a function."""
+    found = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                found.update((node.lineno, m) for m in _package_targets(node))
+    return sorted(found)
+
+
+def test_local_import_check_sees_a_function_level_import():
+    tree = ast.parse("from . import a\nimport os\ndef f():\n    import json\n"
+                     "    from .b import c\n    def g():\n        import dampwave.d\n")
+    assert _local_package_imports(tree) == [(5, "b"), (7, "d")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_level_package_imports(path):
+    local = _local_package_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert not local, f"{path.name}: dampwave imports inside functions {local}"
+
+
+def _import_graph():
+    """Module -> the package modules it imports at top level."""
+    graph = {}
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        graph[path.stem] = {m for node in tree.body for m in _package_targets(node)}
+    return graph
+
+
+def test_import_graph_has_no_cycles():
+    list(graphlib.TopologicalSorter(_import_graph()).static_order())  # raises CycleError
+
+
+def _run(code):
+    out = subprocess.run([sys.executable, "-c", "import sys; sys.path[:0] = ['src']\n" + code],
+                         cwd=ROOT, capture_output=True, text=True, check=True, timeout=120)
+    return out.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("access, absent", [
+    ("", SUBMODULES | {"numpy"}),
+    ("dampwave.linear_decay_series",
+     {"dampwave.solver", "dampwave.config", "dampwave.scan", "hashlib"}),
+    ("dampwave.validate_config", {"dampwave.radial", "dampwave.scan"}),
+], ids=["import", "radial_path", "config_path"])
+def test_a_fresh_process_loads_only_the_modules_it_uses(access, absent):
+    loaded = json.loads(_run(f"import json, dampwave\n{access}\n"
+                             "print(json.dumps(sorted(sys.modules)))"))
+    assert not absent & set(loaded)
+
+
+def test_every_submodule_resolves_before_it_is_imported():
+    # dependencies first, so that no module is loaded before its own turn
+    order = list(graphlib.TopologicalSorter(_import_graph()).static_order())
+    code = (f"import dampwave\nfor m in {order!r}:\n"
+            "    assert 'dampwave.' + m not in sys.modules, m\n"
+            "    assert getattr(dampwave, m).__name__ == 'dampwave.' + m\nprint('ok')")
+    assert _run(code) == "ok"
+
+
+def test_namespace_resolves_every_exported_name():
+    import dampwave
+
+    assert len(dampwave.__all__) == sum(map(len, dampwave._EXPORTS.values()))
+    for name in dampwave.__all__:
+        getattr(dampwave, name)
+    star = {}
+    exec("from dampwave import *", star)
+    assert set(dampwave.__all__) <= set(star)
+    assert set(dampwave.__all__) <= set(dir(dampwave))
+    with pytest.raises(AttributeError):
+        dampwave.no_such_name
