@@ -24,7 +24,10 @@ real, which is also why all four entries carry zero imaginary part.
 The entries are formed in two stages: J and Y at orders rho and rho - 1 at
 one time node, for the sorted distinct |xi| (NodeStore) or a suffix of
 them, then the cross products of the nodes at s and t in ``_cross``, which
-reads the pair through ``NodeStore._read``; ``_fill`` evaluates the values
+reads the pair through ``NodeStore._read``.  Both stages run in float64,
+except where sigma < 1 at non-integer mu: there the determinant cancels, and
+they run in longdouble (see ``_EXT_SIGMA``); at integer mu nothing cancels
+and every node is float64.  ``_fill`` evaluates the values
 of any set of nodes in one call per precision, and ``NodeStore.prefetch``
 has it fill what a list of pairs (s, t) will read.  ``phi_values_grid``
 gives the entries on all of a store's |xi| or on a contiguous run of them.
@@ -98,9 +101,16 @@ def _check_orders(mu):
     return rho
 
 
-# Below this sigma the cross products are assembled in extended precision:
-# |H(sigma)| grows like sigma^-|order|, and the determinant cancellation
-# would otherwise cost ~|H(sigma) H(tau)| * 1e-16 in absolute error.
+# Below this sigma, at non-integer mu, the cross products are assembled in
+# extended precision.  With a = rho or rho - 1 and b = a or a - 1, Y_a =
+# cot(a pi) J_a - csc(a pi) J_{-a} puts the term cot(a pi) J_a(sigma) J_b(tau)
+# into both products of J_a Y_b - Y_a J_b, where it cancels; |J_a(sigma)|
+# grows like sigma^a at the negative orders, and in float64 the cancellation
+# would cost ~|H(sigma) H(tau)| * 1e-16 against a far smaller result.  At
+# integer mu the orders are integers or half-integers, and the term is absent
+# (DLMF 10.2, 10.47): float64 keeps every entry within 5e-14 + 2e-16 tau of
+# |scale| |xi|^k |H_a(sigma)| |H_b(tau)|, the error every pair with sigma >= 1
+# carries, so no node there takes longdouble.
 _EXT_SIGMA = 1.0
 
 
@@ -128,17 +138,23 @@ def _zero_mode_values(mu, lam_s, lam_t, Lam_s, Lam_t):
 
 class _Node:
     """Bessel values on Lambda(t)|xi| at one time t, for the store's sorted
-    nonzero |xi| from index ``start`` on: J and Y at orders rho and rho - 1,
-    in float64 on a suffix args[lo:] and in longdouble on a prefix args[:hi],
-    both filled by ``_fill`` and only growing."""
+    nonzero |xi| from index ``start`` on, up to the last one whose phase is
+    within TAU_MAX: J and Y at orders rho and rho - 1, in float64 on a suffix
+    args[lo:] and in longdouble on a prefix args[:hi], both filled by
+    ``_fill`` and only growing.  The one precision rule: a pair takes
+    longdouble where its sigma is below ``n_ext``'s bound, _EXT_SIGMA at
+    non-integer mu and none at integer mu, and float64 above."""
 
     def __init__(self, store, t, start=0):
         self.lam = float(store.profile.lambda_at(t))
         self.Lam = float(store.profile.Lambda_at(t))
         self.start = start
-        self.args = self.Lam * store.nonzero[start:]
-        # arguments below _EXT_SIGMA form a prefix, because |xi| is sorted
-        self.n_ext = int(np.searchsorted(self.args, _EXT_SIGMA))
+        args = self.Lam * store.nonzero[start:]
+        # no argument above TAU_MAX is evaluated; a read that reaches one raises
+        self.args = args[:np.searchsorted(args, TAU_MAX, side="right")]
+        # arguments below the bound form a prefix, because |xi| is sorted
+        self.n_ext = (0 if float(store.mu).is_integer()
+                      else int(np.searchsorted(self.args, _EXT_SIGMA)))
         self.lo, self.double = self.args.size, [np.empty(0)] * 4
         self.hi, self.ext = 0, [np.empty(0, dtype=np.longdouble)] * 4
 
@@ -228,12 +244,16 @@ class NodeStore:
 
     def _requests(self, s, t, lo, hi):
         """The one precision split of the held pair (s, t) on nonzero |xi|
-        indices lo:hi, from which both nodes start: longdouble where sigma =
-        Lambda(s)|xi| < _EXT_SIGMA, float64 above.  Checks the pair's phases
-        and returns the index at which float64 takes over and the pair's
-        ``_fill`` requests."""
+        indices lo:hi, from which both nodes start: longdouble on the node at
+        s's ``n_ext`` prefix, float64 above.  Raises DomainError for a phase
+        Lambda(t)|xi| above TAU_MAX, where the node at t ends, and returns
+        the index at which float64 takes over and the pair's ``_fill``
+        requests, which reach no further than the nodes do."""
         at_s, at_t = self.nodes[s], self.nodes[t]
-        _check_phases(at_t.args[lo - at_t.start:hi - at_t.start])
+        if hi > lo and hi - at_t.start > at_t.args.size:
+            raise DomainError(
+                f"phase Lambda(t)|xi| = {at_t.Lam * self.nonzero[hi - 1]:g} exceeds "
+                f"TAU_MAX = {TAU_MAX:g}, beyond which the Hankel route loses accuracy")
         k = min(max(lo, at_s.start + at_s.n_ext), hi)
         return k, [(nd, k - nd.start if k < hi else nd.args.size, k - nd.start if k > lo else 0)
                    for nd in (at_s, at_t)]
@@ -323,14 +343,6 @@ def _run_start(store, xi):
         if np.array_equal(store.nonzero[lo:lo + xi.size], xi):
             return lo
     raise ValueError("store was built for another (mu, profile, xi)")
-
-
-def _check_phases(tau):
-    """Reject sorted phases whose largest value exceeds TAU_MAX."""
-    if tau.size and tau[-1] > TAU_MAX:
-        raise DomainError(
-            f"phase Lambda(t)|xi| = {float(tau[-1]):g} exceeds "
-            f"TAU_MAX = {TAU_MAX:g}, beyond which the Hankel route loses accuracy")
 
 
 def _entry_terms(rho, lam_s, Lam_s, lam_t, Lam_t):

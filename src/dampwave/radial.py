@@ -334,10 +334,11 @@ def linear_decay_series(mu, profile, v0_hat, v1_hat, times, n=1, s=0.0,
     # the pairs (s, t) that the calls read, each from its first node on,
     # grouped by the time before whose call they are evaluated.  A batch
     # holds at most BATCH_POINTS // 4 tau points (and at least one time):
-    # a longdouble specfun call peaks at ~270 B per point (tracemalloc), and
-    # on the radial_decay series (2-vCPU x86-64 VM) batches of 2^15 and 2^14
-    # points raised peak_rss_mb by 11% and 4%, while 2^13 and 2^12 kept it
-    # within 0.3% at the same wall time
+    # a specfun call peaks at ~270 B per point in longdouble and ~80 B in
+    # float64 (tracemalloc).  On the radial_decay series (2-vCPU x86-64 VM)
+    # with longdouble below sigma = 1, batches of 2^15 and 2^14 points
+    # raised peak_rss_mb by 11% and 4%, while 2^13 and 2^12 kept it within
+    # 0.3% at the same wall time; at its integer mu = 4 the calls are float64
     batches, points = {}, math.inf
     for t in times:
         xi_lo = _bounds(float(profile.Lambda_at(t)), xi_max)[0]

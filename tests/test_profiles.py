@@ -155,6 +155,24 @@ def test_time_domain_errors():
         profiles.Lambda_at(prof, -1.0)
 
 
+@pytest.mark.parametrize("t, what", [(math.inf, "finite"), (-math.inf, "finite"),
+                                     (math.nan, "finite"), (-1.0, "nonnegative"),
+                                     (-1, "nonnegative"), (np.float64(-0.5), "nonnegative")])
+def test_scalar_and_array_times_fail_alike(t, what):
+    # scalars take a check of their own; it raises what the array check raises
+    prof = profiles.constant_profile()
+    for value in (t, np.array(t), np.array([0.5, t])):
+        with pytest.raises(DomainError, match=f"^time must be {what}$"):
+            prof.Lambda_at(value)
+
+
+def test_scalar_times_give_floats():
+    prof = profiles.polynomial_profile(2.0)
+    for t in (3, 3.0, np.float64(3.0), np.array(3.0), -0.0):
+        got = prof.Lambda_at(t)
+        assert type(got) is float and got == prof.Lambda_at(np.array([float(t)]))[0]
+
+
 def test_lambda0_override_keeps_definitions_consistent():
     prof = profiles.polynomial_profile(q=2.0, lambda0=3.0)
     assert profiles.Lambda_at(prof, 0.0) == pytest.approx(3.0)

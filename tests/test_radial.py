@@ -372,6 +372,14 @@ def test_phase_beyond_tau_max_raises(monkeypatch):
 
 
 def test_series_evaluates_sigma_once_through_the_module_bindings(bessel_points, monkeypatch):
+    _series_reads_sigma_once(4.0, bessel_points, monkeypatch)
+
+
+def test_series_at_non_integer_mu_takes_both_precisions(bessel_points, monkeypatch):
+    _series_reads_sigma_once(4.5, bessel_points, monkeypatch)
+
+
+def _series_reads_sigma_once(mu, bessel_points, monkeypatch):
     # the benchmark times radial.linear_norm_radial and counts the Bessel
     # points of multipliers._jy / jy_extended: the series must call the
     # former by its module name once per time, and the Filon zone must get
@@ -394,7 +402,7 @@ def test_series_evaluates_sigma_once_through_the_module_bindings(bessel_points, 
 
     monkeypatch.setattr(radial, "linear_norm_radial", counted)
     monkeypatch.setattr(radial, "phase_factors", counted_phase)
-    series = radial.linear_decay_series(4.0, CONST, G, H, times)
+    series = radial.linear_decay_series(mu, CONST, G, H, times)
     assert calls == times
     # sigma on the whole lattice once and tau once on each time's nodes,
     # all of it between the calls: both zones of a time read the sigma side
@@ -405,11 +413,19 @@ def test_series_evaluates_sigma_once_through_the_module_bindings(bessel_points, 
     per_time = sum(lattice.size - radial._zone_start(lattice, radial._bounds(
         CONST.Lambda_at(t), xi_max)[0]) for t in times)
     assert inside[0] == 0 and bessel_points[0] == lattice.size + per_time
-    # these times fit one batch: one call per precision
-    assert bessel_points[1] == 2
+    # these times fit one batch: one call per precision, float64 alone at
+    # integer mu; at non-integer mu longdouble where sigma = xi < 1, on the
+    # node at s and on each time's nodes
+    if mu.is_integer():
+        assert bessel_points[1] == 1 and bessel_points[2] == 0
+    else:
+        below = [np.count_nonzero(lattice[radial._zone_start(lattice, radial._bounds(
+            CONST.Lambda_at(t), xi_max)[0]):] < 1.0) for t in times]
+        assert bessel_points[1] == 2
+        assert bessel_points[2] == np.count_nonzero(lattice < 1.0) + sum(below)
     # the same numbers as standalone calls, which evaluate sigma themselves
     for t, l2, energy in zip(times, series.tracks["L2"], series.tracks["energy"]):
-        r = norm(4.0, CONST, G, H, t, rtol=1e-5, pts_per_period=12)
+        r = norm(mu, CONST, G, H, t, rtol=1e-5, pts_per_period=12)
         assert (r.l2, r.energy) == (l2, energy)
 
 

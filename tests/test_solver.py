@@ -356,9 +356,18 @@ def test_duhamel_step_evaluates_distinct_modes_once(bessel_points):
 
 
 def test_radial_norm_evaluates_every_node(bessel_points, monkeypatch):
+    _radial_norm_reads(4.0, bessel_points, monkeypatch)
+
+
+def test_radial_norm_at_non_integer_mu_takes_both_precisions(bessel_points, monkeypatch):
+    _radial_norm_reads(4.5, bessel_points, monkeypatch)
+
+
+def _radial_norm_reads(mu, bessel_points, monkeypatch):
     from dampwave import radial
 
     nodes = {"log": 0, "filon": 0}
+    log_xi = []
     calls = {"log": 0, "filon": 0}
     stores = []
     phi_values_grid, phase_factors = radial.phi_values_grid, radial.phase_factors
@@ -366,6 +375,7 @@ def test_radial_norm_evaluates_every_node(bessel_points, monkeypatch):
     def counted(mu, profile, s, t, xi, *, store):
         calls["log"] += 1
         nodes["log"] += np.size(xi)
+        log_xi.append(xi)
         stores.append(store)
         return phi_values_grid(mu, profile, s, t, xi, store=store)
 
@@ -377,7 +387,7 @@ def test_radial_norm_evaluates_every_node(bessel_points, monkeypatch):
 
     monkeypatch.setattr(radial, "phi_values_grid", counted)
     monkeypatch.setattr(radial, "phase_factors", counted_phase)
-    radial.linear_norm_radial(4.0, CONST, radial.gaussian_spectrum(1.0, 1.0),
+    radial.linear_norm_radial(mu, CONST, radial.gaussian_spectrum(1.0, 1.0),
                               radial.gaussian_spectrum(0.7, 1.2), 10.0, rtol=1e-5,
                               pts_per_period=12)
     # one multiplier evaluation per zone, both on one store, serves both
@@ -387,10 +397,14 @@ def test_radial_norm_evaluates_every_node(bessel_points, monkeypatch):
     assert calls == {"log": 1, "filon": 1} and stores[0] is stores[1]
     assert nodes["log"] > 0 and nodes["filon"] > 0
     assert bessel_points[0] == 2 * (nodes["log"] + nodes["filon"])
-    # a zone evaluates sigma and tau together, in one call per precision: at
-    # s = 0 the log zone lies below sigma = 1 (longdouble), the Filon zone
-    # above it (float64)
-    assert bessel_points[1] == 2
+    # a zone evaluates sigma and tau together, in one call per precision:
+    # float64 alone at integer mu; at non-integer mu, with s = 0, the log
+    # zone's nodes below sigma = xi = 1 take longdouble, the rest float64
+    if mu.is_integer():
+        assert bessel_points[1] == 1 and bessel_points[2] == 0
+    else:
+        assert bessel_points[1] == 2
+        assert bessel_points[2] == 2 * np.count_nonzero(log_xi[0] < 1.0) > 0
 
 
 @pytest.mark.parametrize("mu, prof", [(4.0, CONST), (3.0, profiles.polynomial_profile(2.0))])
@@ -503,14 +517,14 @@ def test_scheduled_run_batches_bessel_calls(raw, bessel_points, monkeypatch):
     steps = _counted_steps(monkeypatch)
     cfg = validate_config(raw)
     sv.simulate(cfg)
-    points, calls = bessel_points
+    points, calls, _ = bessel_points
     # a start, a midpoint and an end per step, shared with the next step
     nodes = 2 * steps[0] + 1
     n_xi = np.count_nonzero(np.unique(cfg.grid.xi))
     batch_nodes = max(1, multipliers.BATCH_POINTS // n_xi)
     assert steps[0] > 10 and calls <= 2 * math.ceil(nodes / batch_nodes)
     # batching evaluates the same points as one node at a time
-    bessel_points[:] = [0, 0]
+    bessel_points[:] = [0, 0, 0]
     _without_prefetch(monkeypatch)
     sv.simulate(cfg)
     assert bessel_points[0] == points and bessel_points[1] > calls
@@ -577,8 +591,9 @@ def test_run_reads_its_plan_one_chunk_ahead(bessel_points, monkeypatch):
     monkeypatch.setattr(multipliers.NodeStore, "prefetch", recorded)
     with pytest.raises(Stop):
         sv.simulate(cfg)
-    # the second chunk is read when its first step is due, not before
-    assert drawn[0] == 2 * chunk and bessel_points[1] == 4
+    # the second chunk is read when its first step is due, not before; each
+    # chunk is one Bessel call, in float64 alone at mu = 4
+    assert drawn[0] == 2 * chunk and bessel_points[1] == 2 and bessel_points[2] == 0
     assert all(n <= batch_nodes + 1 for n, batch_nodes in held)
 
 
