@@ -229,6 +229,24 @@ def _energy_border(n, m):
     return 2.0 + _solution_border(n, m)
 
 
+def _regime(mu, border):
+    """"above", "at" or "below": where mu lies against a damping border,
+    within 1e-9.  The one comparison of mu with a border."""
+    if mu > border + 1e-9:
+        return "above"
+    return "at" if abs(mu - border) <= 1e-9 else "below"
+
+
+def predicted_decay_exponents(n, mu, m=1.0):
+    """Decay rates in Lambda(t) of the linear flow for L^m data, keyed "L2"
+    and "energy": above the norm's border (solution, energy) the effective
+    rate n(1/m - 1/2) (plus 1 for the energy), mu/2 at the border, where a
+    log factor joins it, and below."""
+    base = n * (1.0 / m - 0.5)
+    return {"L2": base if _regime(mu, _solution_border(n, m)) == "above" else mu / 2.0,
+            "energy": base + 1.0 if _regime(mu, _energy_border(n, m)) == "above" else mu / 2.0}
+
+
 def _lm_critical_power(n, m, gamma):
     """p = 1 + m(2 + gamma)/n, the critical power of the L^m-data route."""
     return 1.0 + m * (2.0 + gamma) / n

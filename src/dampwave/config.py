@@ -33,14 +33,14 @@ from dataclasses import dataclass, field
 
 from . import profiles as _profiles
 from .analysis import WINDOW_FRACTION
-from .errors import DomainError, ResourceCapError, ValidationError
-from .multipliers import _NON_NEGATIVE, _POSITIVE, DEFAULT_K, _check_orders
+from .errors import (_ABOVE_ONE, _FINITE, _NON_NEGATIVE, _POSITIVE, DomainError,
+                     ResourceCapError, ValidationError)
+from .multipliers import DEFAULT_K, _check_orders
 from .solver import Grid, NonlinearitySpec, WeightedNormSpec
 
 # the default of a key that must be given
 REQUIRED = object()
 
-_FINITE = (math.isfinite, "finite")
 _AT_LEAST_ONE = (lambda v: v >= 1, "at least 1")
 
 # effective support radius of the data kinds, in units of the width
@@ -68,8 +68,7 @@ RUN_FORMAT = {
               "seed": (int, None, None)}, {}, None),
     "T": (float, REQUIRED, _POSITIVE),
     "dt_max": (float, 0.1, _POSITIVE),
-    "blowup_factor": (float, 1e6, (lambda v: 1.0 < v < math.inf,
-                                   "a finite number above 1")),
+    "blowup_factor": (float, 1e6, _ABOVE_ONE),
     "m_list": (list, [1.0], (lambda v: all(0.0 < m < math.inf for m in v),
                              "positive finite numbers")),
     "samples_per_decade": (int, 20, _AT_LEAST_ONE),

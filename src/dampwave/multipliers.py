@@ -50,8 +50,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _ode
-from .analysis import _energy_border, _solution_border
-from .errors import DomainError, UnsupportedOrderError
+from .analysis import _energy_border, _regime, _solution_border
+from .errors import (_NON_NEGATIVE, _POSITIVE, _UNIT, DomainError, UnsupportedOrderError,
+                     _check_fields)
 from .specfun import _PI, MAX_ORDER, _jy, jy_extended
 
 # Beyond this tau the Hankel phases lose the target accuracy even in
@@ -63,29 +64,19 @@ DEFAULT_K = 0.5
 # absolute error tolerance of the ODE oracle's adaptive step control
 _ORACLE_ATOL = 1e-12
 
-# surface area of the unit sphere S^{n-1} in R^n
-SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
+# The largest dimension n of the radial norms and the zone certification:
+# far beyond the dimensions the decay estimates are read at, and well within
+# the n < 344 at which Gamma(n/2), and so the sphere area, leaves float range.
+MAX_DIM = 100
+_DIMENSION = (lambda n: 1 <= n <= MAX_DIM and n == int(n), f"an integer from 1 to {MAX_DIM}")
 
 
 def _sphere_area(n):
-    """SPHERE_AREA[n]; DomainError for n other than 1, 2 or 3."""
-    if n not in SPHERE_AREA:
-        raise DomainError(f"n must be 1, 2 or 3, got {n!r}")
-    return SPHERE_AREA[n]
-
-
-# argument rules (test, what it asks for), shared with the config tables
-_POSITIVE = (lambda v: 0.0 < v < math.inf, "a positive finite number")
-_NON_NEGATIVE = (lambda v: 0.0 <= v < math.inf, "a non-negative finite number")
-_UNIT = (lambda v: 0.0 < v < 1.0, "in (0, 1)")
-
-
-def _check_fields(fields):
-    """Raise DomainError for the first (name, value, rule) whose value
-    fails its rule."""
-    for name, value, (ok, what) in fields:
-        if not ok(value):
-            raise DomainError(f"{name} must be {what}, got {value!r}")
+    """Area 2 pi^(n/2) / Gamma(n/2) of the unit sphere S^{n-1} in R^n (2, 2 pi
+    and 4 pi to the bit at n = 1, 2, 3); DomainError unless n is an integer
+    from 1 to MAX_DIM."""
+    _check_fields([("n", n, _DIMENSION)])
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
 def rho_of(mu):
@@ -549,16 +540,18 @@ def certify_zone_bounds(mu, profile, m, spec=None):
     For each (s, t) on log grids, measures the high-frequency sups (zone I1)
     and, for m < 2, the L^q integrals over I2 u I3 with q = (1/m - 1/2)^-1,
     of the solution and energy multipliers, each normalized by the predicted
-    rate: the effective power rates, the log-corrected rate at the borderline
-    mu = 2 + n(2/m - 1), and the sub-threshold rate
-    lambda(t) Lambda(t)^(-mu/2) Lambda(s)^(mu/2) for mu < 2.
-    Reports max ratios per family; a family certifies as stable when its max
-    over the largest t-decade stays within 10x the decade median.  The notes
-    name, once each, the L^q templates that (mu, m, n) leaves undefined.  Raises
-    DomainError before sampling for m outside [1, 2] and for a spec with
-    n outside 1..3, K outside (0, 1), t_max <= t_min, or a field that is
-    not finite or below its range: t_min, both densities and both caps
-    > 0, low_decades and every s >= 0.
+    rate.  A family's rate in I2 u I3 follows ``analysis._regime`` of mu
+    against its border, n(2/m - 1) for the solution and 2 + n(2/m - 1) for
+    the energy: the effective power rate above it, the log-corrected rate at
+    it, and below it the sub-threshold rate lambda(t) Lambda(t)^(-mu/2)
+    Lambda(s)^(mu/2) for the m = 2 energy or, for an L^q family, no
+    template, which a note names once.  Reports max ratios per family; a
+    family certifies as stable when its max over the largest t-decade stays
+    within 10x the decade median.  Raises DomainError before sampling for m
+    outside [1, 2] and for a spec with n not an integer from 1 to MAX_DIM,
+    K outside (0, 1), t_max <= t_min, or a field that is not finite or below
+    its range: t_min, both densities and both caps > 0, low_decades and
+    every s >= 0.
     """
     spec = spec or ZoneSampleSpec()
     if not 1.0 <= m <= 2.0:
@@ -573,17 +566,21 @@ def certify_zone_bounds(mu, profile, m, spec=None):
         raise DomainError(f"t_max must exceed t_min, got {spec.t_max!r} <= {spec.t_min!r}")
     K = spec.K
     q = math.inf if m == 2.0 else 1.0 / (1.0 / m - 0.5)
-    border_en = _energy_border(n, m)
-    border_sol = _solution_border(n, m)
+    sol, en = _regime(mu, _solution_border(n, m)), _regime(mu, _energy_border(n, m))
     notes = []
-    if m < 2.0 and mu < border_sol - 1e-9:
+    if m < 2.0 and sol == "below":
         notes.append(f"mu={mu:g} < n(2/m-1): no L^q solution template")
-    if m < 2.0 and mu < border_en - 1e-9:
+    if m < 2.0 and en == "below":
         notes.append(f"mu={mu:g} < 2+n(2/m-1): no L^q energy template")
     families = {}
 
-    def fam(name, template):
-        return families.setdefault(name, FamilyReport(name=name, template=template))
+    def pair(name, templates, v0, base0, v1, base1):
+        """Append the ratios v0/base0 and v1/base1 at the current (s, t) to
+        the families name_v0 and name_v1, whose templates are given."""
+        for suffix, tpl, ratio in zip(("_v0", "_v1"), templates, (v0 / base0, v1 / base1)):
+            fam = families.setdefault(name + suffix, FamilyReport(name=name + suffix,
+                                                                   template=tpl))
+            fam.samples.append((s, t, float(ratio)))
 
     n_t = max(2, int(spec.t_per_decade * math.log10(spec.t_max / spec.t_min)) + 1)
     t_grid = np.geomspace(spec.t_min, spec.t_max, n_t)
@@ -607,16 +604,12 @@ def certify_zone_bounds(mu, profile, m, spec=None):
                 p0, p1, d0, d1 = phi_values_grid(mu, profile, s, t, xi)
                 bracket = np.sqrt(1.0 + xi**2)
                 base = ratio_st ** (mu / 2.0)
-                fam("I1_sol_v0", "(Ls/Lt)^(mu/2)").samples.append(
-                    (s, t, float(np.max(np.abs(p0)) / base)))
-                fam("I1_sol_v1", "(Ls/Lt)^(mu/2) * Ls/ls").samples.append(
-                    (s, t, float(np.max(np.abs(p1)) / (base * Lam_s / lam_s))))
+                pair("I1_sol", ("(Ls/Lt)^(mu/2)", "(Ls/Lt)^(mu/2) * Ls/ls"),
+                     np.max(np.abs(p0)), base, np.max(np.abs(p1)), base * Lam_s / lam_s)
                 en0 = np.maximum(lam_t * xi * np.abs(p0), np.abs(d0)) / bracket
                 en1 = np.maximum(lam_t * xi * np.abs(p1), np.abs(d1))
-                fam("I1_en_v0", "lt*(Ls/Lt)^(mu/2)").samples.append(
-                    (s, t, float(np.max(en0) / (lam_t * base))))
-                fam("I1_en_v1", "lt*(Ls/Lt)^(mu/2)/ls").samples.append(
-                    (s, t, float(np.max(en1) / (lam_t * base / lam_s))))
+                pair("I1_en", ("lt*(Ls/Lt)^(mu/2)", "lt*(Ls/Lt)^(mu/2)/ls"),
+                     np.max(en0), lam_t * base, np.max(en1), lam_t * base / lam_s)
 
             # ---- zones I2 u I3: xi <= K/Lambda(s) = xi_lo ----
             xi_bot = (K / Lam_t) * 10.0 ** (-spec.low_decades)
@@ -628,50 +621,35 @@ def certify_zone_bounds(mu, profile, m, spec=None):
             log_corr = math.log(1.0 + Lam_t / Lam_s)
 
             if m == 2.0:
-                fam("I23_sol_v0", "1").samples.append((s, t, float(np.max(np.abs(p0)))))
-                fam("I23_sol_v1", "Ls/ls").samples.append(
-                    (s, t, float(np.max(np.abs(p1)) / (Lam_s / lam_s))))
-                if mu > 2.0 + 1e-9:
-                    en_base = lam_t * Lam_s / Lam_t
-                    tpl = "lt*Ls/Lt"
-                elif abs(mu - border_en) <= 1e-9:
+                pair("I23_sol", ("1", "Ls/ls"),
+                     np.max(np.abs(p0)), 1.0, np.max(np.abs(p1)), Lam_s / lam_s)
+                if en == "above":
+                    en_base, tpl = lam_t * Lam_s / Lam_t, "lt*Ls/Lt"
+                elif en == "at":
                     en_base = lam_t * Lam_t ** (-mu / 2.0) * Lam_s ** (mu / 2.0) * log_corr
                     tpl = "lt*Lt^(-mu/2)*Ls^(mu/2)*log(1+Lt/Ls)"
                 else:
                     en_base = lam_t * ratio_st ** (mu / 2.0)
                     tpl = "lt*(Ls/Lt)^(mu/2)  [sub-threshold]"
-                fam("I23_en_v0", tpl).samples.append((s, t, float(np.max(en0) / en_base)))
-                fam("I23_en_v1", tpl + " / ls").samples.append(
-                    (s, t, float(np.max(en1) / (en_base / lam_s))))
-            else:
-                def lq(vals):
-                    integrand = np.abs(vals) ** q * xi ** (n - 1)
-                    return (area * np.trapezoid(integrand * xi, np.log(xi))) ** (1.0 / q)
+                pair("I23_en", (tpl, tpl + " / ls"),
+                     np.max(en0), en_base, np.max(en1), en_base / lam_s)
+                continue
 
-                if mu > border_sol + 1e-9:
-                    sol_base = Lam_t ** (-n / q)
-                    sol_tpl = "Lt^(-n/q)"
-                elif abs(mu - border_sol) <= 1e-9:
-                    sol_base = Lam_t ** (-mu / 2.0) * log_corr
-                    sol_tpl = "Lt^(-mu/2)*log(1+Lt/Ls)"
-                else:
-                    sol_base = None
-                if sol_base is not None:
-                    fam("Lq_sol_v0", sol_tpl).samples.append((s, t, lq(p0) / sol_base))
-                    fam("Lq_sol_v1", sol_tpl + " * Ls/ls").samples.append(
-                        (s, t, lq(p1) / (sol_base * Lam_s / lam_s)))
+            def lq(vals):
+                integrand = np.abs(vals) ** q * xi ** (n - 1)
+                return (area * np.trapezoid(integrand * xi, np.log(xi))) ** (1.0 / q)
 
-                if mu > border_en + 1e-9:
-                    en_base = lam_t * Lam_t ** (-n / q - 1.0)
-                    en_tpl = "lt*Lt^(-n/q-1)"
-                elif abs(mu - border_en) <= 1e-9:
-                    en_base = lam_t * Lam_t ** (-mu / 2.0) * log_corr
-                    en_tpl = "lt*Lt^(-mu/2)*log(1+Lt/Ls)  [borderline]"
-                else:
-                    en_base = None
-                if en_base is not None:
-                    fam("Lq_en_v0", en_tpl).samples.append((s, t, lq(en0) / en_base))
-                    fam("Lq_en_v1", en_tpl + " * Ls/ls").samples.append(
-                        (s, t, lq(en1) / (en_base * Lam_s / lam_s)))
+            if sol != "below":
+                sol_base, tpl = ((Lam_t ** (-n / q), "Lt^(-n/q)") if sol == "above" else
+                                 (Lam_t ** (-mu / 2.0) * log_corr, "Lt^(-mu/2)*log(1+Lt/Ls)"))
+                pair("Lq_sol", (tpl, tpl + " * Ls/ls"),
+                     lq(p0), sol_base, lq(p1), sol_base * Lam_s / lam_s)
+            if en != "below":
+                en_base, tpl = ((lam_t * Lam_t ** (-n / q - 1.0), "lt*Lt^(-n/q-1)")
+                                if en == "above" else
+                                (lam_t * Lam_t ** (-mu / 2.0) * log_corr,
+                                 "lt*Lt^(-mu/2)*log(1+Lt/Ls)  [borderline]"))
+                pair("Lq_en", (tpl, tpl + " * Ls/ls"),
+                     lq(en0), en_base, lq(en1), en_base * Lam_s / lam_s)
 
     return BoundReport(mu=mu, m=m, n=n, K=K, families=families, notes=notes)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import _FINITE, _POSITIVE, DomainError, _check_fields
 
 
 def _check_time(t):
@@ -93,14 +93,13 @@ class _CubicTable:
 
     @classmethod
     def build(cls, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.ndim != 1 or x.shape != y.shape or len(x) < 2:
+        if np.ndim(x) != 1 or np.shape(x) != np.shape(y) or len(x) < 2:
             raise DomainError("custom profile table needs matching 1-d arrays, length >= 2")
+        _check_fields([("table_t", v, _FINITE) for v in x]
+                      + [("table_lambda", v, _POSITIVE) for v in y])
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         if np.any(np.diff(x) <= 0):
             raise DomainError("custom profile times must be strictly increasing")
-        if np.any(y <= 0):
-            raise DomainError("custom profile speeds must be positive")
         if x[0] != 0.0:
             raise DomainError("custom profile table must start at t = 0")
         d = _pchip_slopes(x, y)
@@ -204,36 +203,30 @@ class SpeedProfile:
 
 def constant_profile(lambda0=1.0):
     """lambda(t) = 1, Lambda(t) = lambda0 + t."""
-    if lambda0 <= 0:
-        raise DomainError("lambda0 must be positive")
+    _check_fields([("lambda0", lambda0, _POSITIVE)])
     return SpeedProfile(kind="constant", lambda0=lambda0, alpha=0.0)
 
 
 def polynomial_profile(q, lambda0=None):
     """lambda(t) = (1+t)**(q-1); default lambda0 = 1/q matches Lambda = (1+t)**q/q."""
-    if q <= 0:
-        raise DomainError("polynomial exponent q must be positive")
+    _check_fields([("q", q, _POSITIVE)])
     lambda0 = 1.0 / q if lambda0 is None else lambda0
-    if lambda0 <= 0:
-        raise DomainError("lambda0 must be positive")
+    _check_fields([("lambda0", lambda0, _POSITIVE)])
     return SpeedProfile(kind="polynomial", q=float(q), lambda0=float(lambda0),
                         alpha=(q - 1.0) / q)
 
 
 def exponential_profile(r, lambda0=None):
     """lambda(t) = exp(r t); default lambda0 = 1/r matches Lambda = exp(rt)/r."""
-    if r <= 0:
-        raise DomainError("exponential rate r must be positive")
+    _check_fields([("r", r, _POSITIVE)])
     lambda0 = 1.0 / r if lambda0 is None else lambda0
-    if lambda0 <= 0:
-        raise DomainError("lambda0 must be positive")
+    _check_fields([("lambda0", lambda0, _POSITIVE)])
     return SpeedProfile(kind="exponential", r=float(r), lambda0=float(lambda0), alpha=1.0)
 
 
 def custom_profile(table_t, table_lambda, lambda0=1.0):
     """Tabulated speed, monotone-cubic interpolated; Lambda integrated exactly."""
-    if lambda0 <= 0:
-        raise DomainError("lambda0 must be positive")
+    _check_fields([("lambda0", lambda0, _POSITIVE)])
     return SpeedProfile(kind="custom", lambda0=float(lambda0), alpha=None,
                         table=_CubicTable.build(table_t, table_lambda))
 

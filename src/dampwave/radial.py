@@ -42,9 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import NormSeries
-from .errors import DomainError, QuadratureError
-from .multipliers import (_NON_NEGATIVE, _POSITIVE, BATCH_POINTS, DEFAULT_K, NodeStore,
-                          _check_fields, _sphere_area, phase_factors, phi_values_grid, rho_of)
+from .errors import _NON_NEGATIVE, _POSITIVE, DomainError, QuadratureError, _check_fields
+from .multipliers import (BATCH_POINTS, DEFAULT_K, NodeStore, _sphere_area, phase_factors,
+                          phi_values_grid, rho_of)
 from .specfun import _SERIES_SWITCH
 
 # The Filon zone starts at tau = Lambda(t) xi = 16, where specfun's Hankel
@@ -230,8 +230,9 @@ def _default_xi_max(v0_hat, v1_hat):
 
 
 def _check_rule(n, xi_max, rtol, pts_per_period):
-    """Raise DomainError unless n is 1, 2 or 3, xi_max and rtol are finite
-    and >= 0, and pts_per_period is finite and > 0."""
+    """Raise DomainError unless n is an integer from 1 to MAX_DIM (100),
+    xi_max and rtol are finite and >= 0, and pts_per_period is finite and
+    > 0."""
     _sphere_area(n)
     _check_fields([("xi_max", xi_max, _NON_NEGATIVE), ("rtol", rtol, _NON_NEGATIVE),
                    ("pts_per_period", pts_per_period, _POSITIVE)])
@@ -248,9 +249,11 @@ def linear_norm_radial(mu, profile, v0_hat, v1_hat, t, n=1, s=0.0,
     most pi/(8 pts_per_period) above xi = 1 and 10 pts_per_period nodes per
     decade of log(xi) below it.  The fine rule, whose value is returned,
     takes every node and the coarse rule every other one.  ``_lattice_store``
-    is a series' ``_rule_store``, whose nodes its times share.  Raises
-    DomainError unless n is 1, 2 or 3, xi_max and rtol are >= 0 and
-    pts_per_period > 0, all finite.
+    is a series' ``_rule_store``, whose nodes its times share.  The rule does
+    not depend on the dimension n but through the measure xi^(n-1) and the
+    sphere area.  Raises DomainError unless n is an integer from 1 to
+    MAX_DIM (100), xi_max and rtol are >= 0 and pts_per_period > 0, all
+    finite.
     """
     if xi_max is None:
         xi_max = _default_xi_max(v0_hat, v1_hat)

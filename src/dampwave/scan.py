@@ -165,9 +165,7 @@ class ScanResult:
 def _classify_cell(series, final, classify):
     if isinstance(final, solver.BlowupRecord):
         return dict(outcome="blowup", t_star=final.t_star, reason=final.reason)
-    track = series.tracks.get("L2")
-    if track is None:
-        return dict(outcome="undecided", reason="no L2 track")
+    track = series.tracks["L2"]
     if np.nanmax(track) <= 1e-300:
         return dict(outcome="global_decay", alpha=0.0, residual=0.0,
                     model="pure_power", reason="zero solution")

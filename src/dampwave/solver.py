@@ -53,7 +53,7 @@ import numpy as np
 
 from . import multipliers
 from .analysis import NormSeries
-from .errors import DomainError
+from .errors import _ABOVE_ONE, DomainError, _check_fields
 
 WEIGHT_SATURATION = 1.0e300
 
@@ -199,6 +199,9 @@ class FieldState:
         return self._uh, self._uth
 
 
+_GAMMA = (lambda v: -2.0 <= v < math.inf, "a finite number >= -2")
+
+
 @dataclass(frozen=True)
 class NonlinearitySpec:
     """Power nonlinearity f(t, u) = prefactor(t) * g(u)."""
@@ -213,10 +216,8 @@ class NonlinearitySpec:
             raise DomainError(f"unknown nonlinearity form {self.form!r}")
         if self.scaling not in ("plain", "structural"):
             raise DomainError(f"unknown scaling {self.scaling!r}")
-        if self.form != "zero" and not self.p > 1.0:
-            raise DomainError("nonlinearity exponent p must exceed 1")
-        if self.gamma < -2.0:
-            raise DomainError("gamma must be >= -2")
+        gamma = [("gamma", self.gamma, _GAMMA)]
+        _check_fields(gamma if self.form == "zero" else [("p", self.p, _ABOVE_ONE)] + gamma)
 
     def prefactor(self, profile, t):
         if self.form == "zero":

@@ -2,11 +2,13 @@
 
 import json
 import os
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+from dampwave import analysis, profiles, radial
 from dampwave.cli import main
 
 
@@ -91,6 +93,13 @@ def test_simulate_negative_width_exit_code(tmp_path, capsys):
     ({"T": 1.0, "grid": {"n": 1, "N": 256, "L": 1.5e308}}, "grid: box half-width L=1.5e+308"),
     ({"profile": {"kind": "polynomial", "q": 1e308}}, "grid: sizing rule at T=4"),
     ({"samples_per_decade": 0}, "samples_per_decade must be at least 1"),
+    ({"nonlinearity": {"form": "signed_power", "p": float("inf")},
+      "data": {"kind": "gaussian", "amplitude": 0.5, "width": 1.0}}, "nonlinearity: p must be"),
+    ({"profile": {"kind": "polynomial", "q": float("nan")}}, "profile: q must be"),
+    ({"profile": {"kind": "exponential", "r": "fast"}}, "profile: r must be"),
+    ({"profile": {"kind": "constant", "lambda0": float("inf")}}, "profile: lambda0 must be"),
+    ({"profile": {"kind": "custom", "table_t": [0, 1, 2, 10],
+                  "table_lambda": [1, float("nan"), 2, 3]}}, "profile: table_lambda must be"),
 ])
 def test_simulate_non_numeric_value_exit_code(tmp_path, capsys, overrides, name):
     cfg = run_config(tmp_path, **overrides)
@@ -333,6 +342,23 @@ def test_plotdata_loglog(tmp_path, capsys):
     assert os.path.exists(prefix + ".dat")
     gp = open(prefix + ".gp").read()
     assert "logscale xy" in gp and "ref slope" in gp
+
+
+def test_plotdata_reference_slopes_follow_the_regime(tmp_path, capsys):
+    # n = 3, mu = 2 lies below both borders (3 and 5 for L^1 data): both
+    # norms decay like Lambda^(-mu/2), which the L2 fit confirms
+    series = radial.linear_decay_series(2.0, profiles.constant_profile(),
+                                        radial.gaussian_spectrum((2.0 * np.pi) ** 1.5),
+                                        radial.gaussian_spectrum(0.0),
+                                        np.geomspace(1.0, 1.0e4, 81), n=3)
+    assert analysis.fit_decay(series, "L2").alpha == pytest.approx(1.0, abs=0.05)
+    series.to_csv(tmp_path / "series.csv")
+    prefix = str(tmp_path / "plot")
+    assert main(["plotdata", "--in", str(tmp_path / "series.csv"), "--style",
+                 "loglog_decay", "--out", prefix]) == 0
+    # one reference line per track, L2 then energy
+    assert re.findall(r"title '(ref slope [^']*)'", open(prefix + ".gp").read()) == [
+        "ref slope -1", "ref slope -1"]
 
 
 def test_plotdata_phase_map(tmp_path, capsys):

@@ -220,6 +220,31 @@ def test_certify_zone_bounds_lists_each_note_once():
                             "mu=0.5 < 2+n(2/m-1): no L^q energy template"]
 
 
+@pytest.mark.parametrize("mu, m, family, template, notes", [
+    # n = 1, m = 1: solution border 1, energy border 3
+    (1.0, 1.0, "Lq_sol_v0", "Lt^(-mu/2)*log(1+Lt/Ls)", ["no L^q energy template"]),
+    (1.0 + 5e-10, 1.0, "Lq_sol_v0", "Lt^(-mu/2)*log(1+Lt/Ls)", ["no L^q energy template"]),
+    (1.0 - 1e-3, 1.0, "Lq_sol_v0", None,
+     ["no L^q solution template", "no L^q energy template"]),
+    (3.0, 1.0, "Lq_en_v0", "lt*Lt^(-mu/2)*log(1+Lt/Ls)  [borderline]", []),
+    (3.0 - 1e-3, 1.0, "Lq_en_v0", None, ["no L^q energy template"]),
+    # m = 2: energy border 2, below it the sub-threshold template
+    (2.0, 2.0, "I23_en_v0", "lt*Lt^(-mu/2)*Ls^(mu/2)*log(1+Lt/Ls)", []),
+    (2.0 - 1e-3, 2.0, "I23_en_v0", "lt*(Ls/Lt)^(mu/2)  [sub-threshold]", []),
+])
+# mu = 1 + 5e-10 is evaluated at the integer order, with a warning
+@pytest.mark.filterwarnings("ignore:order .* of an integer:RuntimeWarning")
+def test_certify_zone_bounds_template_at_and_below_a_border(mu, m, family, template, notes):
+    # within 1e-9 of a border the log-corrected template; below it an L^q
+    # family has none, and a note says so
+    spec = mp.ZoneSampleSpec(s_values=(0.0,), t_min=1.0, t_max=10.0, t_per_decade=2,
+                             xi_per_decade=10, xi_cap=10.0)
+    report = mp.certify_zone_bounds(mu, CONST, m, spec)
+    got = report.families.get(family)
+    assert (got.template if got else None) == template
+    assert [text.split(": ")[1] for text in report.notes] == notes
+
+
 def _hankel_modulus_sq(order, z):
     """|H+_order(z)|^2 for |order| = 3/2 and 5/2, where the modulus
     expansion (DLMF 10.18.17) terminates."""

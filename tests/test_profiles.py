@@ -182,3 +182,19 @@ def test_lambda0_override_keeps_definitions_consistent():
     lam = prof.lambda_at(t)
     assert profiles.damping_at(prof, spec, t) == pytest.approx(
         2.0 * lam / prof.Lambda_at(t) - prof.lambda_prime_at(t) / lam, rel=1e-14)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: profiles.constant_profile(math.inf), "lambda0"),
+    (lambda: profiles.constant_profile("1"), "lambda0"),
+    (lambda: profiles.polynomial_profile(math.nan), "q"),
+    (lambda: profiles.polynomial_profile(2.0, lambda0=-1.0), "lambda0"),
+    (lambda: profiles.exponential_profile("fast"), "r"),
+    (lambda: profiles.exponential_profile(True), "r"),
+    (lambda: profiles.custom_profile([0, 1, 2], [1, math.nan, 2]), "table_lambda"),
+    (lambda: profiles.custom_profile([0, math.inf, 2], [1, 1, 2]), "table_t"),
+    (lambda: profiles.custom_profile([0, 1, "2"], [1, 1, 2]), "table_t"),
+])
+def test_profile_parameters_must_be_finite_numbers(build, name):
+    with pytest.raises(DomainError, match=f"^{name} must be"):
+        build()

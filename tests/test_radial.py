@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dampwave import multipliers, profiles, radial, solver
+from dampwave import analysis, multipliers, profiles, radial, solver
 from dampwave.config import validate_config
 from dampwave.errors import DomainError, QuadratureError
 
@@ -70,15 +70,15 @@ def test_zero_spectra():
 
 
 @pytest.mark.parametrize("call, kwargs, match", [
-    ("norm", {"n": 4}, "n must be 1, 2 or 3"),
-    ("series", {"n": 0}, "n must be 1, 2 or 3"),
+    ("norm", {"n": 2.5}, "n must be an integer from 1 to 100"),
+    ("series", {"n": 0}, "n must be an integer from 1 to 100"),
     ("norm", {"xi_max": -1.0}, "xi_max must be a non-negative finite"),
     ("series", {"xi_max": math.inf}, "xi_max must be a non-negative finite"),
     ("norm", {"xi_max": math.nan}, "xi_max must be a non-negative finite"),
     ("norm", {"pts_per_period": 0}, "pts_per_period must be a positive finite"),
     ("series", {"pts_per_period": math.inf}, "pts_per_period must be a positive finite"),
     ("norm", {"rtol": math.nan}, "rtol must be a non-negative finite"),
-    ("zones", {"n": 4}, "n must be 1, 2 or 3"),
+    ("zones", {"n": 101}, "n must be an integer from 1 to 100"),
     ("series", {"times": [1.0e3, 10.0, 1.0]}, "times must be strictly increasing"),
     ("zones", {"t_min": 0.0}, "t_min must be a positive finite"),
     ("zones", {"low_decades": math.nan}, "low_decades must be a non-negative finite"),
@@ -273,7 +273,8 @@ def _simpson_reference(mu, profile, v0_hat, v1_hat, t, n, s, xi_max, pts_per_per
         a0, a1 = v0_hat(xi), v1_hat(xi)
         vh2, vth2 = np.abs(p0 * a0 + p1 * a1) ** 2, np.abs(d0 * a0 + d1 * a1) ** 2
         sq += w @ radial._integrands(lam, xi, n, vh2, vth2)
-    return np.sqrt(multipliers.SPHERE_AREA[n] / (2.0 * math.pi) ** n * sq)
+    area = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}[n]
+    return np.sqrt(area / (2.0 * math.pi) ** n * sq)
 
 
 G, H = radial.gaussian_spectrum(1.0, 1.0), radial.gaussian_spectrum(0.7, 1.2)
@@ -459,3 +460,49 @@ def test_series_builder_tracks_and_metadata():
     assert series.metadata["tag"] == 7
     assert series.metadata["mu"] == 4.0
     assert np.all(np.diff(series.lambda_big) > 0.0)
+
+
+FIT_TIMES = np.geomspace(1.0, 1.0e4, 81)
+
+
+def _decay_fits(n, mu):
+    """L2 and energy fits of the linear flow in R^n, constant profile, from
+    v0 = exp(-|x|^2/2) (transform (2 pi)^(n/2) exp(-xi^2/2)) and v1 = 0."""
+    v0 = radial.gaussian_spectrum((2.0 * math.pi) ** (n / 2.0), 1.0)
+    series = radial.linear_decay_series(mu, CONST, v0, radial.gaussian_spectrum(0.0), FIT_TIMES,
+                                        n=n)
+    return {track: analysis.fit_decay(series, track) for track in ("L2", "energy")}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_radial_decay_rates_in_any_dimension(n):
+    # mu = n + 1, n + 2, n + 3 lie below, at and above the energy border
+    # 2 + n (m = 1) and above the solution border n: at the border the fit
+    # takes the log model, elsewhere the pure power
+    for mu in (n + 1.0, n + 2.0, n + 3.0):
+        fits, rates = _decay_fits(n, mu), analysis.predicted_decay_exponents(n, mu)
+        at_border = analysis._regime(mu, analysis._energy_border(n, 1.0)) == "at"
+        assert fits["energy"].model == ("power_log" if at_border else "pure_power"), mu
+        assert fits["energy"].alpha == pytest.approx(rates["energy"], abs=0.05), mu
+        assert fits["L2"].model == "pure_power", mu
+        assert fits["L2"].alpha == pytest.approx(rates["L2"], abs=0.05), mu
+
+
+# L2 at the solution border n = 1, mu = 1 is left out: its log factor bends
+# the curve too little over this window for the fit to take the log model,
+# and the pure power it fits (0.449) lies just outside 0.05 of mu/2 = 0.5
+@pytest.mark.parametrize("n, mu, track, model", [
+    (1, 0.5, "L2", "pure_power"),
+    (2, 1.0, "L2", "pure_power"),
+    (3, 2.0, "L2", "pure_power"),
+    (2, 2.0, "L2", "power_log"),
+    (3, 3.0, "L2", "power_log"),
+    (1, 2.0, "energy", "pure_power"),
+    (2, 3.0, "energy", "pure_power"),
+])
+def test_radial_decay_rates_at_and_below_the_border(n, mu, track, model):
+    # below the border n(2/m - 1) (solution) or 2 + n(2/m - 1) (energy) the
+    # rate is mu/2, not the effective n(1/m - 1/2) (+ 1); at it, mu/2 with a log
+    fit = _decay_fits(n, mu)[track]
+    assert fit.model == model
+    assert fit.alpha == pytest.approx(analysis.predicted_decay_exponents(n, mu)[track], abs=0.05)

@@ -716,3 +716,15 @@ def test_linear_jumps_match_composed_small_steps():
     for name, ref in zip(("L1", "L2", "H1_seminorm", "energy", "Linf"), np.transpose(rows)):
         got = series.tracks[name]
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"form": "signed_power", "p": math.inf}, "p"),
+    ({"form": "absolute_power", "p": 1.0}, "p"),
+    ({"form": "signed_power", "p": "3"}, "p"),
+    ({"gamma": math.nan}, "gamma"),
+    ({"gamma": -2.5}, "gamma"),
+])
+def test_nonlinearity_needs_finite_p_above_one_and_gamma_from_minus_two(kwargs, name):
+    with pytest.raises(DomainError, match=f"^{name} must be"):
+        sv.NonlinearitySpec(**kwargs)
