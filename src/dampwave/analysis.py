@@ -110,8 +110,11 @@ class DecayFit:
 WINDOW_FRACTION = (lambda f: 0.0 < f <= 1.0, "in (0, 1]")
 
 
-def fit_decay(series, track, window_fraction=0.5,
-              min_lambda_ratio=10.0, min_samples=10):
+# a fit needs this many usable samples, in a window whose Lambda(t) spans this ratio
+_MIN_SAMPLES, _MIN_LAMBDA_RATIO = 10, 10.0
+
+
+def fit_decay(series, track, window_fraction=0.5):
     """Least-squares decay fit of a track over the trailing window.
 
     Fits log(track) against log(Lambda(t)) with and without a log-factor
@@ -125,7 +128,7 @@ def fit_decay(series, track, window_fraction=0.5,
                           f"got {window_fraction!r}")
     vals = series.tracks[track]
     n_all = len(vals)
-    start = max(0, n_all - max(min_samples, int(math.ceil(window_fraction * n_all))))
+    start = max(0, n_all - max(_MIN_SAMPLES, int(math.ceil(window_fraction * n_all))))
     y = vals[start:]
     lam = series.lambda_big[start:]
     t_win = series.times[start:]
@@ -133,11 +136,11 @@ def fit_decay(series, track, window_fraction=0.5,
     if np.count_nonzero(good) == 0:
         raise DegenerateFitError(f"track {track!r} has no positive values in the window")
     y, lam, t_win = y[good], lam[good], t_win[good]
-    if len(y) < min_samples:
-        raise DegenerateFitError(f"need >= {min_samples} usable samples, got {len(y)}")
-    if lam[-1] / lam[0] < min_lambda_ratio:
+    if len(y) < _MIN_SAMPLES:
+        raise DegenerateFitError(f"need >= {_MIN_SAMPLES} usable samples, got {len(y)}")
+    if lam[-1] / lam[0] < _MIN_LAMBDA_RATIO:
         raise FitWindowError(
-            f"window spans Lambda ratio {lam[-1] / lam[0]:.2f} < {min_lambda_ratio:g}")
+            f"window spans Lambda ratio {lam[-1] / lam[0]:.2f} < {_MIN_LAMBDA_RATIO:g}")
 
     x = np.log(lam)
     ly = np.log(y)

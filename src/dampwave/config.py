@@ -36,7 +36,7 @@ from .analysis import WINDOW_FRACTION
 from .errors import (_ABOVE_ONE, _FINITE, _NON_NEGATIVE, _POSITIVE, DomainError,
                      ResourceCapError, ValidationError)
 from .multipliers import DEFAULT_K, _check_orders
-from .solver import Grid, NonlinearitySpec, WeightedNormSpec
+from .solver import Grid, NonlinearitySpec, WeightedNormSpec, _lm_names
 
 # the default of a key that must be given
 REQUIRED = object()
@@ -311,6 +311,10 @@ def validate_config(raw):
         nonlin = NonlinearitySpec(**cfg["nonlinearity"])
     except DomainError as exc:
         violations.append(f"nonlinearity: {exc}")
+    try:
+        _lm_names(cfg["m_list"])
+    except DomainError as exc:
+        violations.append(str(exc))
     if not violations:
         try:
             grid = Grid(**box)

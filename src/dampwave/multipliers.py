@@ -134,7 +134,11 @@ class _Node:
     args[lo:] and in longdouble on a prefix args[:hi], both filled by
     ``_fill`` and only growing.  The one precision rule: a pair takes
     longdouble where its sigma is below ``n_ext``'s bound, _EXT_SIGMA at
-    non-integer mu and none at integer mu, and float64 above."""
+    non-integer mu and none at integer mu, and float64 above.  So at
+    non-integer mu a node that is t of one pair and s of the next holds the
+    |xi| with Lambda(s)|xi| < _EXT_SIGMA <= Lambda(t)|xi| in both
+    precisions: each pair's entries come from its own sigma alone, which
+    keeps a prefetched pair bitwise equal to the same pair of a fresh store."""
 
     def __init__(self, store, t, start=0):
         self.lam = float(store.profile.lambda_at(t))
@@ -516,9 +520,9 @@ class FamilyReport:
         dec = [r for _, t, r in self.samples if t >= t_hi / 10.0]
         return float(np.median(dec)), float(max(dec))
 
-    def stable(self, factor=10.0):
+    def stable(self):
         med, hi = self.last_decade_stats()
-        return bool(hi <= factor * med)
+        return bool(hi <= 10.0 * med)
 
 
 @dataclass
@@ -530,8 +534,8 @@ class BoundReport:
     families: dict
     notes: list
 
-    def all_stable(self, factor=10.0):
-        return all(f.stable(factor) for f in self.families.values())
+    def all_stable(self):
+        return all(f.stable() for f in self.families.values())
 
 
 def certify_zone_bounds(mu, profile, m, spec=None):

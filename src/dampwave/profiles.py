@@ -285,7 +285,7 @@ def damping_at(profile, spec, t):
     return spec.mu * lam / Lam - profile.lambda_prime_at(t) / lam
 
 
-def dissipativity_check(profile, spec, t_max=None):
+def dissipativity_check(profile, spec):
     """True iff lambda'/lambda + b(t) >= 0, i.e. mu >= 0.
 
     Built-ins are decided symbolically; custom profiles are sampled on a log
@@ -293,7 +293,7 @@ def dissipativity_check(profile, spec, t_max=None):
     """
     if profile.alpha is not None:
         return spec.mu >= 0.0
-    hi = profile.t_max if t_max is None else min(t_max, profile.t_max)
+    hi = profile.t_max
     ts = np.concatenate([[0.0], np.geomspace(max(1e-3, hi * 1e-6), hi, 64)])
     lam = profile.lambda_at(ts)
     Lam = profile.Lambda_at(ts)

@@ -275,7 +275,6 @@ def make_initial_data(grid, kind, amplitude, width, seed=0):
         u0[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - s2))
     elif kind == "mode_mix":
         rng = np.random.default_rng(seed)
-        uh = np.zeros(grid.spectral_shape, dtype=complex)
         amp = rng.standard_normal(grid.spectral_shape) + 1j * rng.standard_normal(grid.spectral_shape)
         envelope = np.exp(-((grid.xi * width) ** 2) / 2.0)
         uh = amp * envelope * grid.dealias_mask
@@ -290,44 +289,42 @@ def make_initial_data(grid, kind, amplitude, width, seed=0):
     return u0, np.zeros_like(u0)
 
 
-@dataclass(frozen=True)
-class NormSample:
-    lm: dict
-    l2: float
-    linf: float
-    h1_semi: float
-    energy: float
-    weighted_l2: float | None = None
-    weighted_saturated: bool = False
-
-
 def _weighted_sq(weight, vh):
     """sum weight |vh|^2: a squared L2 norm by Parseval (Grid.l2_weight,
     Grid.grad_weight)."""
     return float(np.sum(weight * (vh.real**2 + vh.imag**2)))
 
 
+def _lm_names(m_list):
+    """{f"L{m:g}": m} over the values of ``m_list``, 1 and 2; DomainError if
+    two values print alike (2 and 2.0000001 would share one track)."""
+    names = {}
+    for m in sorted({1.0, 2.0, *map(float, m_list)}):
+        name = f"L{m:g}"
+        if name in names:
+            raise DomainError(f"m_list values {names[name]!r} and {m!r} share the "
+                              f"track name {name}")
+        names[name] = m
+    return names
+
+
 def norms(state, profile, mu, grid, m_list=(1.0,), weighted=None):
-    """All tracked norms of the state; the gradient and u_t by Parseval."""
+    """The norm tracks of the state by column name: L1 and L{m:g} for every
+    other m of ``m_list``, (sum |u|^m h^n)^(1/m); L2, Linf, H1_seminorm and
+    energy, the last two by Parseval; with an enabled ``weighted`` also
+    weighted_L2 and weighted_saturated (1.0 for a box-truncation artifact)."""
     vol = grid.cell_volume
     u = state.u
     uh, uth = state.spectra(grid)
-    lm = {}
-    for m in m_list:
-        lm[float(m)] = float((np.sum(np.abs(u) ** m) * vol) ** (1.0 / m))
-    l2 = float(math.sqrt(np.sum(u**2) * vol))
-    linf = float(np.max(np.abs(u)))
+    tracks = {name: float((np.sum(np.abs(u) ** m) * vol) ** (1.0 / m))
+              for name, m in _lm_names(m_list).items() if m != 2.0}
+    tracks["L2"] = math.sqrt(np.sum(u**2) * vol)
+    tracks["Linf"] = float(np.max(np.abs(u)))
     grad_sq = _weighted_sq(grid.grad_weight, uh)
     ut_sq = _weighted_sq(grid.l2_weight, uth)
     lam = float(profile.lambda_at(state.t))
-    h1_semi = math.sqrt(grad_sq)
-    sample = {
-        "lm": lm,
-        "l2": l2,
-        "linf": linf,
-        "h1_semi": h1_semi,
-        "energy": math.sqrt(lam * lam * grad_sq + ut_sq),
-    }
+    tracks["H1_seminorm"] = math.sqrt(grad_sq)
+    tracks["energy"] = math.sqrt(lam * lam * grad_sq + ut_sq)
     if weighted is not None and weighted.enabled:
         w_mu = mu if weighted.mu is None else weighted.mu
         Lam = float(profile.Lambda_at(state.t))
@@ -344,11 +341,10 @@ def norms(state, profile, mu, grid, m_list=(1.0,), weighted=None):
         edge = grid.radius >= grid.L - 2.0 * grid.h
         peak = float(np.max(integrand))
         if peak > 0.0 and np.any(edge):
-            saturated = saturated or bool(
-                float(np.max(integrand[edge])) > 1e-10 * peak)
-        sample["weighted_l2"] = float(np.sqrt(wl2_sq))
-        sample["weighted_saturated"] = bool(saturated)
-    return NormSample(**sample)
+            saturated = saturated or float(np.max(integrand[edge])) > 1e-10 * peak
+        tracks["weighted_L2"] = float(np.sqrt(wl2_sq))
+        tracks["weighted_saturated"] = float(saturated)
+    return tracks
 
 
 def _propagate_spectra(mu, profile, s, t, grid, uh, uth, store):
@@ -430,9 +426,10 @@ def _node_times(t, steps, nonlinear):
     return times
 
 
-def cone_excess(state, grid, profile, r0, pad=0.0):
-    """max |u| outside the light cone, relative to the current peak."""
-    radius = r0 + float(profile.Lambda_at(state.t)) - profile.lambda0 + pad
+def cone_excess(state, grid, profile, r0):
+    """max |u| outside the light cone widened by two grid spacings, relative
+    to the current peak."""
+    radius = r0 + float(profile.Lambda_at(state.t)) - profile.lambda0 + 2.0 * grid.h
     outside = grid.radius > radius
     if not np.any(outside):
         return 0.0
@@ -461,8 +458,9 @@ def weight_identity_residual(profile, mu, grid, t):
     return WeightIdentityCheck(residual=residual, max_psi_t=float(np.max(psi_t)))
 
 
-def output_times(T, samples_per_decade, t_first=0.1):
-    """Log-spaced output times, 0 and T always included."""
+def output_times(T, samples_per_decade):
+    """0, then log-spaced output times from 0.1 to T, T always included."""
+    t_first = 0.1
     if T <= 0.0:
         return np.array([0.0])
     if T <= t_first * (1.0 + 1e-12):
@@ -507,32 +505,18 @@ def simulate(config):
                                config.data.width, config.data.seed)
     state = FieldState(u=u0, ut=u1, t=0.0)
     peak0 = max(float(np.max(np.abs(u0))), float(np.max(np.abs(u1))), 1e-300)
-    track_cone = config.data.kind in ("gaussian", "bump")
 
     times = output_times(config.T, config.samples_per_decade)
     rows = []
     blowup = None
 
     def record(st):
-        ns = norms(st, profile, mu, grid, m_list=config.m_list, weighted=config.weighted)
-        row = {
-            "t": st.t,
-            "Lambda_t": float(profile.Lambda_at(st.t)),
-            "L1": ns.lm[1.0] if 1.0 in ns.lm else float(np.sum(np.abs(st.u)) * grid.cell_volume),
-            "L2": ns.l2,
-            "H1_seminorm": ns.h1_semi,
-            "energy": ns.energy,
-            "Linf": ns.linf,
-        }
-        for m, val in ns.lm.items():
-            if m not in (1.0, 2.0):
-                row[f"L{m:g}"] = val
-        if ns.weighted_l2 is not None:
-            row["weighted_L2"] = ns.weighted_l2
-            row["weighted_saturated"] = float(ns.weighted_saturated)
-        if track_cone:
-            row["cone_excess"] = cone_excess(st, grid, profile, config.r0, pad=2.0 * grid.h)
-        row["blowup_flag"] = 0.0
+        row = {"t": st.t, "Lambda_t": float(profile.Lambda_at(st.t)),
+               **norms(st, profile, mu, grid, m_list=config.m_list, weighted=config.weighted),
+               "blowup_flag": 0.0}
+        # data with an effective support radius have a light cone to watch
+        if config.r0 > 0.0:
+            row["cone_excess"] = cone_excess(st, grid, profile, config.r0)
         rows.append(row)
 
     record(state)
@@ -551,17 +535,15 @@ def simulate(config):
             blowup = _blowup(state, grid, threshold)
             if blowup is not None:
                 t_star = blowup.t_star
+                # the track assembly fills the norm columns with NaN
                 rows.append({"t": t_star, "Lambda_t": float(profile.Lambda_at(t_star)),
-                             "L1": math.nan, "L2": math.nan, "H1_seminorm": math.nan,
-                             "energy": math.nan, "Linf": math.nan, "blowup_flag": 1.0})
+                             "blowup_flag": 1.0})
                 break
             if state.t >= t_out:
                 record(state)
 
-    track_names = sorted({k for row in rows for k in row} - {"t", "Lambda_t"})
-    tracks = {}
-    for name in track_names:
-        tracks[name] = np.array([row.get(name, math.nan) for row in rows])
+    names = sorted({k for row in rows for k in row} - {"t", "Lambda_t"})
+    tracks = {name: np.array([row.get(name, math.nan) for row in rows]) for name in names}
     series = NormSeries(
         times=np.array([row["t"] for row in rows]),
         lambda_big=np.array([row["Lambda_t"] for row in rows]),

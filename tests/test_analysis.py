@@ -179,3 +179,34 @@ def test_run_scan_threshold_marker_and_persistence(tmp_path):
     assert (outdir / "outcomes.csv").exists()
     assert (outdir / "manifest.json").exists()
     assert len(list(outdir.glob("cell_*.csv"))) == 3
+
+
+def test_run_scan_classifies_cells_by_their_decay_fit():
+    base = dict(scan_base(T=200.0, N=256), dt_max=1.0)
+    base["data"]["amplitude"] = 0.01
+    result = scan.run_scan({"base": base, "axes": {"p": [2.0, 3.0]}, "workers": 1})
+    # below the Fujita exponent 3 the solution grows; at it, it decays
+    grows, decays = result.outcome_of(p=2.0), result.outcome_of(p=3.0)
+    assert grows.outcome == "undecided" and grows.alpha < 0.0
+    assert grows.reason.startswith("slope ")
+    assert decays.outcome == "global_decay" and decays.model == "pure_power"
+    assert decays.alpha == pytest.approx(0.5, abs=0.02) and decays.reason == ""
+
+
+@pytest.mark.parametrize("outcomes, flagged", [
+    (["global_decay", "global_decay", "blowup"], [(2,)]),
+    (["global_decay", "blowup"], []),
+])
+def test_run_scan_flags_a_blowup_after_two_decaying_cells(monkeypatch, outcomes, flagged):
+    def synthetic(args):
+        idx, params, _, _ = args
+        verdict = {"outcome": outcomes[idx[0]]}
+        return idx, params, verdict, None
+
+    monkeypatch.setattr(scan, "_run_cell", synthetic)
+    ps = [2.0, 3.0, 4.0][:len(outcomes)]
+    result = scan.run_scan({"base": scan_base(), "axes": {"p": ps}, "workers": 1})
+    assert [c.outcome for c in result.cells] == outcomes
+    assert result.monotonicity_flags == [
+        f"monotonicity violation at index {idx}: 'blowup' after 2 global_decay cells"
+        for idx in flagged]

@@ -43,6 +43,22 @@ def test_simulate_deterministic_bytes(tmp_path, capsys):
     assert blob["outcome"] == "completed"
 
 
+def test_simulate_blowup_outcome(tmp_path, capsys):
+    cfg = run_config(tmp_path, mu=1.5, T=20.0,
+                     nonlinearity={"form": "absolute_power", "p": 2.0},
+                     data={"kind": "gaussian", "amplitude": 2.0, "width": 1.0})
+    out = tmp_path / "blowup.csv"
+    with pytest.warns(UserWarning, match="mu=1.5 < 2"):
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    blob = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert blob["outcome"] == "blowup" and blob["reason"] == "amplitude threshold"
+    series = analysis.NormSeries.from_csv(out)
+    assert blob["t_star"] == series.times[-1] < 20.0
+    last = {name: track[-1] for name, track in series.tracks.items()}
+    assert last.pop("blowup_flag") == 1.0
+    assert "L2" in last and "cone_excess" in last and all(np.isnan(v) for v in last.values())
+
+
 def test_simulate_validation_exit_code(tmp_path, capsys):
     bad = write_json(tmp_path / "bad.json", {
         "profile": {"kind": "constant"}, "mu": 2.0, "nu": 1.0, "T": 1.0})
@@ -100,6 +116,8 @@ def test_simulate_negative_width_exit_code(tmp_path, capsys):
     ({"profile": {"kind": "constant", "lambda0": float("inf")}}, "profile: lambda0 must be"),
     ({"profile": {"kind": "custom", "table_t": [0, 1, 2, 10],
                   "table_lambda": [1, float("nan"), 2, 3]}}, "profile: table_lambda must be"),
+    ({"m_list": [2.0000001, 3.0, 3.0000004]},
+     "m_list values 2.0 and 2.0000001 share the track name L2"),
 ])
 def test_simulate_non_numeric_value_exit_code(tmp_path, capsys, overrides, name):
     cfg = run_config(tmp_path, **overrides)

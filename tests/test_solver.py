@@ -8,7 +8,7 @@ import pytest
 from dampwave import profiles
 from dampwave import solver as sv
 from dampwave.config import validate_config
-from dampwave.errors import DomainError
+from dampwave.errors import DomainError, ValidationError
 
 CONST = profiles.constant_profile()
 
@@ -99,7 +99,7 @@ def test_parseval_roundtrip_and_spectral_gradient():
     k = 2.0 * math.pi * 3 / (2 * grid.L)  # an exact grid mode
     u = np.sin(k * grid.axis)
     ns = sv.norms(sv.FieldState(u=u, ut=0 * u, t=0.0), CONST, 2.0, grid)
-    assert ns.h1_semi == pytest.approx(k * ns.l2, rel=1e-12)
+    assert ns["H1_seminorm"] == pytest.approx(k * ns["L2"], rel=1e-12)
 
 
 def test_norms_constant_field():
@@ -107,9 +107,22 @@ def test_norms_constant_field():
     c = 0.37
     state = sv.FieldState(u=np.full(grid.shape, c), ut=np.zeros(grid.shape), t=0.0)
     ns = sv.norms(state, CONST, 2.0, grid, m_list=(1.0, 3.0))
-    assert ns.lm[1.0] == pytest.approx(c * 2.0 * grid.L, rel=1e-12)
-    assert ns.lm[3.0] == pytest.approx((c**3 * 2.0 * grid.L) ** (1.0 / 3.0), rel=1e-12)
-    assert ns.linf == pytest.approx(c)
+    assert ns["L1"] == pytest.approx(c * 2.0 * grid.L, rel=1e-12)
+    assert ns["L3"] == pytest.approx((c**3 * 2.0 * grid.L) ** (1.0 / 3.0), rel=1e-12)
+    assert ns["Linf"] == pytest.approx(c)
+
+
+@pytest.mark.parametrize("m_list", [[2.0000001], [3.0, 3.0000004], [1.0 + 1e-9, 5.0]])
+def test_m_list_values_that_print_alike_are_rejected(m_list):
+    grid = grid1d(N=64)
+    state = sv.FieldState(u=np.sin(grid.axis), ut=np.zeros(grid.shape), t=0.0)
+    with pytest.raises(DomainError, match="share the track name"):
+        sv.norms(state, CONST, 2.0, grid, m_list=m_list)
+    with pytest.raises(ValidationError, match="m_list values"):
+        validate_config(dict(LINEAR_RUN, m_list=m_list))
+    # one value given twice, or 1 and 2 given, still name one track each
+    ns = sv.norms(state, CONST, 2.0, grid, m_list=[3, 3.0, 2.0, 1.0])
+    assert sorted(ns) == ["H1_seminorm", "L1", "L2", "L3", "Linf", "energy"]
 
 
 def test_linear_step_identity_and_composition():
@@ -278,6 +291,54 @@ def test_blowup_detection_and_record():
     assert series.tracks["blowup_flag"][-1] == 1.0
 
 
+@pytest.mark.parametrize("m_list, weighted, extra", [
+    ([3.0], {}, ["L3"]),
+    ([1.0, 2.0, 1.5], {"enabled": True, "mu": 2.5}, ["L1.5", "weighted_L2", "weighted_saturated"]),
+])
+def test_simulate_records_the_norms_it_is_given(m_list, weighted, extra):
+    raw = {"profile": {"kind": "constant"}, "mu": 3.0, "grid": {"n": 1, "N": 256}, "T": 2.0,
+           "nonlinearity": {"form": "signed_power", "p": 3.0},
+           "data": {"kind": "gaussian", "amplitude": 0.2, "width": 1.0},
+           "m_list": m_list, "weighted": weighted}
+    cfg = validate_config(raw)
+    series, final = sv.simulate(cfg)
+    base = ["H1_seminorm", "L1", "L2", "Linf", "blowup_flag", "cone_excess", "energy"]
+    assert sorted(series.tracks) == sorted(base + extra)
+    ns = sv.norms(final, CONST, 3.0, cfg.grid, m_list=m_list, weighted=cfg.weighted)
+    assert sorted(ns) == sorted(set(base + extra) - {"blowup_flag", "cone_excess"})
+    for name, value in ns.items():
+        assert series.tracks[name][-1] == value, name
+
+
+def test_structural_scaling_is_lambda_squared_times_Lambda_to_gamma():
+    poly = profiles.polynomial_profile(2.0)
+    nl = sv.NonlinearitySpec(form="signed_power", p=3.0, gamma=0.5, scaling="structural")
+    for t in (0.0, 0.3, 2.0, 17.0):
+        ref = float(poly.lambda_at(t)) ** 2 * float(poly.Lambda_at(t)) ** 0.5
+        assert nl.prefactor(poly, t) == pytest.approx(ref, rel=1e-15)
+    # at constant speed with lambda0 = 1, lambda = 1 and Lambda = 1 + t: the
+    # structural run is the plain run
+    raw = {"profile": {"kind": "constant"}, "mu": 3.0, "grid": {"n": 1, "N": 256}, "T": 2.0,
+           "data": {"kind": "gaussian", "amplitude": 0.3, "width": 1.0}}
+    runs = [sv.simulate(validate_config(dict(raw, nonlinearity={
+        "form": "signed_power", "p": 3.0, "gamma": 0.5, "scaling": scaling})))[0]
+        for scaling in ("plain", "structural")]
+    assert np.array_equal(runs[0].times, runs[1].times)
+    assert runs[0].tracks.keys() == runs[1].tracks.keys()
+    for name, track in runs[0].tracks.items():
+        assert np.array_equal(track, runs[1].tracks[name]), name
+
+
+@pytest.mark.parametrize("field", ["u", "uth"])
+def test_blowup_flags_a_non_finite_field(field):
+    grid = grid1d(N=64)
+    u, uth = np.sin(grid.axis), np.zeros(grid.spectral_shape, dtype=complex)
+    {"u": u, "uth": uth}[field][5] = np.inf
+    record = sv._blowup(sv.FieldState(u=u, uth=uth, t=0.7, grid=grid), grid, 1e6)
+    peak = float(np.max(np.abs(u[np.isfinite(u)])))
+    assert record == sv.BlowupRecord(t_star=0.7, reason="non-finite field", peak=peak)
+
+
 @pytest.mark.parametrize("factor, reason", [(1e6, "amplitude threshold"),
                                             (1e300, "nonlinearity overflow")])
 def test_blowup_time_is_the_detecting_step(monkeypatch, factor, reason):
@@ -335,14 +396,14 @@ def test_weighted_norms_closed_form_and_flag():
     # integrand exponent collapses to -(1/w^2 - mu) x^2 = -2 x^2 here, so
     # ||u0||_{L2(omega)}^2 = eps^2 sqrt(pi/2)
     ref = eps * math.sqrt(math.sqrt(math.pi / 2.0))
-    assert ns.weighted_l2 == pytest.approx(ref, rel=1e-10)
-    assert not ns.weighted_saturated
+    assert ns["weighted_L2"] == pytest.approx(ref, rel=1e-10)
+    assert not ns["weighted_saturated"]
     # width 1: divergent on the line, finite on the box -> flagged
     u0 = eps * np.exp(-grid.radius**2 / 2.0)
     state = sv.FieldState(u=u0, ut=np.zeros_like(u0), t=0.0)
     ns = sv.norms(state, CONST, 2.0, grid, weighted=spec)
-    assert ns.weighted_saturated
-    assert math.isfinite(ns.weighted_l2)
+    assert ns["weighted_saturated"]
+    assert math.isfinite(ns["weighted_L2"])
 
 
 def test_duhamel_step_evaluates_distinct_modes_once(bessel_points):
@@ -616,7 +677,7 @@ def test_parseval_norms_match_physical_sums(n, N):
     ref = np.sum(ut**2) * grid.cell_volume
     assert sv._weighted_sq(grid.l2_weight, grid.fft(ut)) == pytest.approx(ref, rel=1e-14)
     ns = sv.norms(sv.FieldState(u=u, ut=ut, t=0.0), CONST, 2.0, grid)
-    assert ns.h1_semi**2 == pytest.approx(gradient_norm_sq_reference(grid, uh), rel=1e-14)
+    assert ns["H1_seminorm"]**2 == pytest.approx(gradient_norm_sq_reference(grid, uh), rel=1e-14)
 
 
 def test_state_keeps_one_representation_of_each_field():
@@ -712,7 +773,7 @@ def test_linear_jumps_match_composed_small_steps():
             dt = min(cfg.dt_max, 0.25 * grid.h, t_out - st.t)
             st = sv.linear_step(st, CONST, cfg.damping.mu, grid, dt, store=store)
         ns = sv.norms(st, CONST, cfg.damping.mu, grid)
-        rows.append((ns.lm[1.0], ns.l2, ns.h1_semi, ns.energy, ns.linf))
+        rows.append((ns["L1"], ns["L2"], ns["H1_seminorm"], ns["energy"], ns["Linf"]))
     for name, ref in zip(("L1", "L2", "H1_seminorm", "energy", "Linf"), np.transpose(rows)):
         got = series.tracks[name]
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
