@@ -23,7 +23,7 @@ _EXPORTS = {
     "profiles": ("DampingSpec", "SpeedProfile", "constant_profile", "custom_profile",
                  "damping_at", "dissipativity_check", "exponential_profile",
                  "lambda_at", "Lambda_at", "polynomial_profile"),
-    "specfun": ("HankelPair", "bessel_j", "bessel_y", "hankel_pair", "hankel_plus"),
+    "specfun": ("HankelPair", "bessel_j", "bessel_y", "hankel_pair"),
     "_ode": (),
     "multipliers": ("BoundReport", "MultiplierValues", "NodeStore", "Zone", "ZoneSampleSpec",
                     "certify_zone_bounds", "classify_zone", "mode_ode_oracle",

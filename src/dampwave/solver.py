@@ -8,9 +8,12 @@ through one midpoint Duhamel quadrature per step (second order):
     u(t+dt) = M(t+dt, t) u(t) + dt * Phi1(t+dt, t+dt/2) fhat(t+dt/2),
 
 where the midpoint value of u is predicted by the exact linear half step
-and the full-step propagator is composed of the two exact half steps.
-Power nonlinearities are evaluated pointwise in physical space and their
-transform is truncated by the 2/3 rule every step.
+and the full-step propagator is composed of the two exact half steps.  The
+propagator alone is exact over any interval, so with a zero nonlinearity a
+run takes one step per output interval.  ``_scheme`` alone chooses a run's
+step, with its node times and dt rule.  Power nonlinearities are evaluated
+pointwise in physical space and their transform is truncated by the 2/3
+rule every step.
 
 The state a step evolves is the pair of rfftn spectra (uh, uth).  A
 nonlinear step transforms three times: the midpoint field to physical
@@ -28,9 +31,7 @@ new node sets (tm and t1) instead of four.  The step times do not depend on
 the solution, so the loop reads its step plan (``_step_plan``) in chunks and
 has the store prefetch the pairs of each chunk's consecutive time nodes in
 one Bessel call per precision before it takes the chunk's steps.  The store
-also sorts the grid's |xi| once per run.  With a zero nonlinearity the
-propagator is exact over any interval, so ``simulate`` takes one step per
-output interval.
+also sorts the grid's |xi| once per run.
 Blow-up (a non-finite value or max|u| above the threshold) is checked after
 every step and dated by that step; in a linear run that is the output time
 ending the step.
@@ -352,6 +353,17 @@ def _propagate_spectra(mu, profile, s, t, grid, uh, uth, store):
     return p0 * uh + p1 * uth, d0 * uh + d1 * uth
 
 
+def _scheme(nonlin):
+    """(stages, exact): the step scheme of a run with nonlinearity ``nonlin``
+    (None is zero), chosen here alone.  A step over dt from t reads the
+    multipliers of consecutive times t + c dt, c in (0, *stages), ending at
+    c = 1.  The exact linear step takes a whole output interval; the
+    midpoint Duhamel step is second order, so the grid caps its dt."""
+    if nonlin is None or nonlin.form == "zero":
+        return (1.0,), True
+    return (0.5, 1.0), False
+
+
 def linear_step(state, profile, mu, grid, dt, *, store=None):
     """Advance (u, u_t) by the exact linear propagator over [t, t+dt].
 
@@ -368,7 +380,8 @@ def linear_step(state, profile, mu, grid, dt, *, store=None):
 
 
 def duhamel_step(state, profile, mu, grid, nonlin, dt, *, store=None):
-    """One exact-linear + midpoint-Duhamel step (second order in dt).
+    """One exact-linear + midpoint-Duhamel step (second order in dt), or for
+    a zero or None nonlinearity ``linear_step``, as ``_scheme`` chooses.
 
     ``store`` is as for linear_step.
     """
@@ -376,10 +389,11 @@ def duhamel_step(state, profile, mu, grid, nonlin, dt, *, store=None):
         raise DomainError("dt must be nonnegative")
     if dt == 0.0 or state.blowup_t is not None:
         return state
-    if nonlin is None or nonlin.form == "zero":
+    stages, exact = _scheme(nonlin)
+    if exact:
         return linear_step(state, profile, mu, grid, dt, store=store)
     t0 = state.t
-    tm, t1 = _step_times(t0, dt)
+    tm, t1 = [t0 + c * dt for c in stages]
     uh, uth = state.spectra(grid)
     # exact half step, nonlinearity sampled at the midpoint
     mh, mth = _propagate_spectra(mu, profile, t0, tm, grid, uh, uth, store)
@@ -393,36 +407,27 @@ def duhamel_step(state, profile, mu, grid, nonlin, dt, *, store=None):
     return FieldState(uh=vh, uth=vth, t=t1, grid=grid)
 
 
-def _step_times(t0, dt):
-    """Midpoint and end of a Duhamel step from t0."""
-    return t0 + 0.5 * dt, t0 + dt
-
-
 def _step_plan(config, times):
-    """(t_out, dt) of every step ``simulate`` takes to the output times.
-
-    A nonlinear run steps dt = min(dt_max, 0.25 h / lambda(t), t_out - t);
-    the linear propagator is exact over any dt, so a linear run takes one
-    step per output interval.  Neither depends on the solution.
-    """
+    """(t_out, dt) of every step ``simulate`` takes to the output times: the
+    whole interval for an exact scheme (``_scheme``), else dt = min(dt_max,
+    0.25 h / lambda(t), t_out - t); neither depends on the solution."""
+    _, exact = _scheme(config.nonlin)
     t = times[0]
     for t_out in times[1:]:
         while t < t_out:
             dt = t_out - t
-            if config.nonlin.form != "zero":
+            if not exact:
                 lam = float(config.profile.lambda_at(t))
                 dt = min(config.dt_max, 0.25 * config.grid.h / lam, dt)
             yield t_out, dt
             t = t + dt
 
 
-def _node_times(t, steps, nonlinear):
-    """The times at which ``steps``, taken from t, ask for multipliers, in
-    order: t, then each step's midpoint (nonlinear steps only) and end."""
+def _node_times(t, steps, stages):
+    """t, then the times at the ``stages`` (``_scheme``) of each of ``steps``."""
     times = [t]
     for _, dt in steps:
-        tm, t = _step_times(t, dt)
-        times += [tm, t] if nonlinear else [t]
+        times += [times[-1] + c * dt for c in stages]
     return times
 
 
@@ -521,15 +526,15 @@ def simulate(config):
 
     record(state)
     store = multipliers.NodeStore(mu, profile, grid.xi)
-    nonlinear = nonlin.form != "zero"
+    stages, _ = _scheme(nonlin)
     # the step times are known in advance: each chunk of steps brings at most
     # batch_nodes new time nodes (at least one step's), which the store
     # evaluates in one Bessel call per precision before the steps ask for them
-    chunk_steps = max(1, store.batch_nodes // (2 if nonlinear else 1))
+    chunk_steps = max(1, store.batch_nodes // len(stages))
     plan = _step_plan(config, times)
     threshold = config.blowup_factor * peak0
     while blowup is None and (chunk := list(itertools.islice(plan, chunk_steps))):
-        store.prefetch(list(itertools.pairwise(_node_times(state.t, chunk, nonlinear))))
+        store.prefetch(list(itertools.pairwise(_node_times(state.t, chunk, stages))))
         for t_out, dt in chunk:
             state = duhamel_step(state, profile, mu, grid, nonlin, dt, store=store)
             blowup = _blowup(state, grid, threshold)

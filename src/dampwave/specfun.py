@@ -485,12 +485,6 @@ def bessel_y(nu, tau):
     return _jy(nu, tau)[1]
 
 
-def hankel_plus(nu, tau):
-    """H+_nu(tau) = J_nu(tau) + i*Y_nu(tau); scalar or array argument."""
-    j, y = _jy(nu, tau)[:2]
-    return j + 1j * y
-
-
 @dataclass(frozen=True)
 class HankelPair:
     """Values of the Hankel pair at one point; h_minus = conj(h_plus)."""
@@ -501,7 +495,8 @@ class HankelPair:
 
 def hankel_pair(nu, tau):
     """Both Hankel functions H+/-_nu(tau) for real order and argument."""
-    hp = hankel_plus(nu, float(tau))
+    j, y = _jy(nu, float(tau))[:2]
+    hp = j + 1j * y
     return HankelPair(h_plus=hp, h_minus=hp.conjugate())
 
 

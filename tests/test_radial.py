@@ -452,6 +452,33 @@ def test_grid_run_matches_radial_series():
         assert gap.max() <= bound, (name, gap.max())
 
 
+@pytest.mark.parametrize("profile, T", [({"kind": "constant"}, 20.0),
+                                        ({"kind": "polynomial", "q": 1.5}, 10.0),
+                                        ({"kind": "exponential", "r": 0.2}, 10.0)],
+                         ids=["constant", "polynomial", "exponential"])
+def test_small_nonlinear_runs_keep_the_linear_decay(profile, T):
+    # small data decay like the linear flow: the L2 gap of a run to the
+    # linear radial series is the first Duhamel correction, of order eps^(p-1)
+    # relative, so doubling eps multiplies it by 2^(p-1) = 8.  This holds the
+    # run's thousands of composed steps against the grid-free route.
+    p = 4.0
+    gaps = []
+    for eps in (0.01, 0.02):
+        cfg = validate_config({"profile": profile, "mu": 4.0, "grid": {"n": 1, "N": 1024},
+                               "nonlinearity": {"form": "signed_power", "p": p},
+                               "data": {"kind": "gaussian", "amplitude": eps, "width": 1.0},
+                               "T": T})
+        run, _ = solver.simulate(cfg)
+        v0 = radial.gaussian_spectrum(eps * math.sqrt(2.0 * math.pi), 1.0)
+        series = radial.linear_decay_series(4.0, cfg.profile, v0, zero_spec, run.times,
+                                            rtol=1e-9, pts_per_period=48)
+        gaps.append(np.abs(run.tracks["L2"] / series.tracks["L2"] - 1.0))
+    assert gaps[1][-1] / gaps[0][-1] == pytest.approx(2.0 ** (p - 1.0), rel=1e-3)
+    # measured 6.7e-7, 2.7e-7 and 7.8e-7 in the order above; a kick of
+    # 2 dt f doubles each
+    assert gaps[0].max() <= 1.0e-6
+
+
 def test_series_builder_tracks_and_metadata():
     g = radial.gaussian_spectrum(1.0, 1.0)
     times = np.geomspace(1.0, 100.0, 11)

@@ -560,6 +560,11 @@ SEMILINEAR_3D = {"profile": {"kind": "constant"}, "mu": 4.0, "grid": {"n": 3, "N
 POLY_2D = {"profile": {"kind": "polynomial", "q": 0.5}, "mu": 3.0, "grid": {"n": 2, "N": 64},
            "nonlinearity": {"form": "signed_power", "p": 3.0},
            "data": {"kind": "gaussian", "amplitude": 0.2, "width": 1.0}, "T": 3.0}
+# a non-integer mu, at which the store's nodes take longdouble below sigma = 1
+POLY_2D_MU45 = dict(POLY_2D, mu=4.5)
+LINEAR_RUN = {"profile": {"kind": "constant"}, "mu": 3.0,
+              "grid": {"n": 1, "N": 512}, "T": 6.0,
+              "data": {"kind": "gaussian", "amplitude": 0.2, "width": 1.0}}
 
 
 @pytest.mark.parametrize("raw", [SEMILINEAR_3D, POLY_2D, BLOWUP_RUN],
@@ -591,7 +596,9 @@ def test_scheduled_run_batches_bessel_calls(raw, bessel_points, monkeypatch):
     assert bessel_points[0] == points and bessel_points[1] > calls
 
 
-def test_run_below_one_step_per_batch_takes_a_step_per_chunk(monkeypatch):
+@pytest.mark.parametrize("raw, nodes", [(SEMILINEAR_3D, 3), (LINEAR_RUN, 2)],
+                         ids=["midpoint", "linear"])
+def test_run_below_one_step_per_batch_takes_a_step_per_chunk(raw, nodes, monkeypatch):
     from dampwave import multipliers
 
     monkeypatch.setattr(multipliers, "BATCH_POINTS", 1)
@@ -605,12 +612,41 @@ def test_run_below_one_step_per_batch_takes_a_step_per_chunk(monkeypatch):
 
     monkeypatch.setattr(multipliers.NodeStore, "prefetch", recorded)
     steps = _counted_steps(monkeypatch)
-    cfg = validate_config(SEMILINEAR_3D)
+    cfg = validate_config(raw)
     got = sv.simulate(cfg)
-    # each chunk is one step: its start, midpoint and end
-    assert steps[0] > 10 and chunks == [3] * steps[0]
+    # each chunk is one step: its start, its midpoint if it has one, its end
+    assert steps[0] > 10 and chunks == [nodes] * steps[0]
     _without_prefetch(monkeypatch)
     _assert_same_run(got, sv.simulate(cfg))
+
+
+@pytest.mark.parametrize("raw", [SEMILINEAR_3D, POLY_2D_MU45, BLOWUP_RUN, LINEAR_RUN],
+                         ids=["constant", "polynomial_mu4.5", "blowup", "linear"])
+def test_every_pair_a_step_reads_was_prefetched(raw, monkeypatch):
+    from dampwave import multipliers
+
+    hold, prefetch = multipliers.NodeStore._hold, multipliers.NodeStore.prefetch
+    inside, prefetches, stray = [False], [0], []
+
+    def held(store, reads):
+        if not inside[0]:
+            stray.append(reads)
+        hold(store, reads)
+
+    def prefetched(store, pairs):
+        prefetches[0] += 1
+        inside[0] = True
+        try:
+            prefetch(store, pairs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(multipliers.NodeStore, "_hold", held)
+    monkeypatch.setattr(multipliers.NodeStore, "prefetch", prefetched)
+    steps = _counted_steps(monkeypatch)
+    sv.simulate(validate_config(raw))
+    # a read the chunk's prefetch did not hold would hold its own pair
+    assert steps[0] > 10 and prefetches[0] > 0 and stray == []
 
 
 def test_run_reads_its_plan_one_chunk_ahead(bessel_points, monkeypatch):
@@ -735,11 +771,6 @@ def test_square_nonlinearity_matches_power_form():
         refs = {"signed_power": au**1.0 * u, "absolute_power": au**2.0}
     for form, ref in refs.items():
         np.testing.assert_array_equal(sv.NonlinearitySpec(form=form, p=2.0).g(u), ref)
-
-
-LINEAR_RUN = {"profile": {"kind": "constant"}, "mu": 3.0,
-              "grid": {"n": 1, "N": 512}, "T": 6.0,
-              "data": {"kind": "gaussian", "amplitude": 0.2, "width": 1.0}}
 
 
 def test_linear_run_jumps_once_per_output_interval(monkeypatch):
