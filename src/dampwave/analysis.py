@@ -255,6 +255,11 @@ def _lm_critical_power(n, m, gamma):
     return 1.0 + m * (2.0 + gamma) / n
 
 
+def _admissible_power(n):
+    """p = 1 + 2/(n - 2), the largest energy-admissible power (inf for n <= 2)."""
+    return 1.0 + 2.0 / (n - 2.0) if n >= 3 else math.inf
+
+
 def exponent_catalog(n, gamma, m, mu):
     """Every closed-form exponent threshold with its validity condition.
 
@@ -274,8 +279,11 @@ def exponent_catalog(n, gamma, m, mu):
     if not (math.isfinite(mu) and math.isfinite(gamma)):
         raise DomainError(f"mu and gamma must be finite, got mu={mu!r}, gamma={gamma!r}")
     entries = []
+    # the side of mu at each border; 2 and 2 + n are the L^2 and L^1 energy borders
+    borders = {0: 0.0, 1: 1.0, 2: _energy_border(n, 2.0), 3: 3.0, "2+n": _energy_border(n, 1.0)}
+    side = {name: _regime(mu, border) for name, border in borders.items()}
 
-    p_cap = 1.0 + 2.0 / (n - 2.0) if n >= 3 else math.inf
+    p_cap = _admissible_power(n)
     entries.append(ThresholdEntry(
         name="energy_admissibility", kind="bound",
         value=(p_cap if n >= 3 else None), strict=False, applicable=n >= 3,
@@ -284,22 +292,17 @@ def exponent_catalog(n, gamma, m, mu):
 
     # L2-data route
     v = 1.0 + 2.0 * (2.0 + gamma) / n
-    appl = mu >= 2.0
-    if n >= 3:
-        empty = not (v < p_cap)
-    else:
-        empty = False
     entries.append(ThresholdEntry(
         name="h1l2_existence", kind="existence", value=v, strict=True,
-        applicable=appl, condition="mu >= 2; data small in H1 x L2",
-        prange=(v, p_cap if n >= 3 else None), empty_range=empty))
+        applicable=side[2] != "below", condition="mu >= 2; data small in H1 x L2",
+        prange=(v, p_cap if n >= 3 else None), empty_range=n >= 3 and not v < p_cap))
 
     # Lm-data route at the requested m
     v = _lm_critical_power(n, m, gamma)
     mu_min = _energy_border(n, m)
     cond_dim = n <= 4.0 / (2.0 - m)
     gamma_ok = (gamma + 2.0) >= n * (2.0 - m) / (m * m)
-    appl = cond_dim and mu >= mu_min
+    appl = cond_dim and _regime(mu, mu_min) != "below"
     lower = None if gamma_ok else 2.0 / m
     eff_lo = max(v, 2.0 / m) if not gamma_ok else v
     empty = (n >= 3 and not (eff_lo < p_cap or (not gamma_ok and 2.0 / m <= p_cap)))
@@ -318,7 +321,7 @@ def exponent_catalog(n, gamma, m, mu):
         note="cited result; observed numerically only"))
 
     # minimal m = ell(n, mu) route
-    ell_ok = 2.0 < mu < 2.0 + n
+    ell_ok = side[2] == "above" and side["2+n"] == "below"
     ell = 2.0 * n / (n + mu - 2.0) if ell_ok else None
     entries.append(ThresholdEntry(
         name="ell_parameter", kind="parameter", value=ell, strict=False,
@@ -337,7 +340,7 @@ def exponent_catalog(n, gamma, m, mu):
             applicable=False, condition=f"needs mu in (2, {2 + n:g}); mu = {mu:g}"))
 
     # sub-threshold L2 route, mu in [1, 2)
-    appl = 1.0 <= mu < 2.0
+    appl = side[1] != "below" and side[2] == "below"
     entries.append(ThresholdEntry(
         name="subthreshold_l2_existence", kind="existence",
         value=(1.0 + 4.0 * (2.0 + gamma) / (mu * n) if appl else None), strict=True,
@@ -345,23 +348,23 @@ def exponent_catalog(n, gamma, m, mu):
         note="condition not expected optimal"))
 
     # one-dimensional refinements
-    appl = n == 1 and 1.0 <= mu < 3.0
+    appl = n == 1 and side[1] != "below" and side[3] == "below"
     entries.append(ThresholdEntry(
         name="onedim_mixed_existence", kind="existence",
         value=(1.0 + 4.0 * (2.0 + gamma) / (mu + 1.0) if appl else None),
         strict=True, applicable=appl, lower_bound=2.0 if appl else None,
         condition="n = 1, mu in [1, 3), p >= 2; data small in D_1"))
 
-    appl = n == 1 and 0.0 < mu <= 1.0
+    small_1d = n == 1 and side[0] == "above" and side[1] != "above"
     entries.append(ThresholdEntry(
         name="onedim_smallmu_existence", kind="existence",
-        value=(1.0 + 2.0 * (2.0 + gamma) / mu if appl else None),
-        strict=True, applicable=appl,
-        lower_bound=(4.0 / (3.0 - mu) if appl else None),
+        value=(1.0 + 2.0 * (2.0 + gamma) / mu if small_1d else None),
+        strict=True, applicable=small_1d,
+        lower_bound=(4.0 / (3.0 - mu) if small_1d else None),
         condition="n = 1, mu in (0, 1]; data small in D_kappa, kappa = 2/(3-mu)",
-        note=(f"kappa = {2.0 / (3.0 - mu):.12g}" if appl else "")))
+        note=(f"kappa = {2.0 / (3.0 - mu):.12g}" if small_1d else "")))
 
-    appl = 0.0 < mu < 1.0 and n > 1.0 - mu
+    appl = side[0] == "above" and side[1] == "below"
     entries.append(ThresholdEntry(
         name="smallmu_nonexistence", kind="nonexistence",
         value=(1.0 + (2.0 + gamma) / (n - (1.0 - mu)) if appl else None),
@@ -369,7 +372,7 @@ def exponent_catalog(n, gamma, m, mu):
         condition="mu in (0, 1), data with positive average velocity",
         note="cited result; observed numerically only"))
 
-    if n == 1 and 0.0 < mu <= 1.0:
+    if small_1d:
         entries.append(ThresholdEntry(
             name="existence_gap", kind="open_gap", value=None, strict=False,
             applicable=True,

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -47,8 +48,13 @@ def write_snapshot(directory, state, grid, tag):
 
 
 def _cmd_simulate(args):
-    with open(args.config) as fh:
-        cfg = validate_config(fh.read())
+    # the config's notes stay UserWarnings; a shown one is a plain stderr line
+    shown, warnings.formatwarning = warnings.formatwarning, lambda msg, *_: f"warning: {msg}\n"
+    try:
+        with open(args.config) as fh:
+            cfg = validate_config(fh.read())
+    finally:
+        warnings.formatwarning = shown
     series, final = simulate(cfg)
     series.to_csv(args.out)
     if args.snapshots and not isinstance(final, BlowupRecord):

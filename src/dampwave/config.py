@@ -32,7 +32,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from . import profiles as _profiles
-from .analysis import WINDOW_FRACTION
+from .analysis import WINDOW_FRACTION, _admissible_power, _energy_border, _regime
 from .errors import (_ABOVE_ONE, _FINITE, _NON_NEGATIVE, _POSITIVE, DomainError,
                      ResourceCapError, ValidationError)
 from .multipliers import DEFAULT_K, _check_orders
@@ -330,16 +330,15 @@ def validate_config(raw):
 
     # non-fatal admissibility notes
     notes = []
-    n = grid.n
+    n, mu = grid.n, damping.mu
     if nonlin.form != "zero":
-        if n >= 3 and nonlin.p > 1.0 + 2.0 / (n - 2.0):
+        if nonlin.p > _admissible_power(n):
             notes.append(f"p={nonlin.p:g} exceeds the admissibility bound "
-                         f"1+2/(n-2)={1.0 + 2.0 / (n - 2.0):g} for n={n}")
-        if damping.mu < 2.0:
-            notes.append(f"mu={damping.mu:g} < 2: only the sub-threshold "
-                         "estimates apply")
-    if damping.mu < 0.0:
-        notes.append(f"mu={damping.mu:g} < 0: dissipativity fails")
+                         f"1+2/(n-2)={_admissible_power(n):g} for n={n}")
+        if _regime(mu, _energy_border(n, 2.0)) == "below":
+            notes.append(f"mu={mu!r} < 2: only the sub-threshold estimates apply")
+    if not _profiles.dissipativity_check(profile, damping):
+        notes.append(f"mu={mu!r} < 0: dissipativity fails")
     for msg in notes:
         warnings.warn(msg, UserWarning, stacklevel=2)
 

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analysis import _regime
 from .errors import _FINITE, _POSITIVE, DomainError, _check_fields
 
 
@@ -250,6 +251,7 @@ class DampingSpec:
         """Translate a raw coefficient nu into mu for the profile's family.
 
         constant: mu = nu; polynomial: mu = (nu-1)/q + 1; exponential: mu = nu+1.
+        With canonical lambda0, b(t) is nu/(1+t), nu/(1+t) and r*nu (nu at r = 1).
         """
         nu = float(nu)
         if profile.kind == "constant":
@@ -286,15 +288,5 @@ def damping_at(profile, spec, t):
 
 
 def dissipativity_check(profile, spec):
-    """True iff lambda'/lambda + b(t) >= 0, i.e. mu >= 0.
-
-    Built-ins are decided symbolically; custom profiles are sampled on a log
-    grid over (0, t_max] since the sum equals mu*lambda/Lambda pointwise.
-    """
-    if profile.alpha is not None:
-        return spec.mu >= 0.0
-    hi = profile.t_max
-    ts = np.concatenate([[0.0], np.geomspace(max(1e-3, hi * 1e-6), hi, 64)])
-    lam = profile.lambda_at(ts)
-    Lam = profile.Lambda_at(ts)
-    return bool(np.all(spec.mu * lam / Lam >= -1e-12))
+    """True iff lambda'/lambda + b(t) = mu lambda/Lambda >= 0, i.e. mu is not below 0."""
+    return _regime(spec.mu, 0.0) != "below"

@@ -1,11 +1,13 @@
 """Decay fitting, exponent catalog, GN verification and scan tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from dampwave import analysis, scan
+from dampwave import analysis, profiles, scan
+from dampwave.config import validate_config
 from dampwave.errors import DegenerateFitError, DomainError, FitWindowError
 
 
@@ -120,6 +122,61 @@ def test_exponent_catalog_small_mu():
     rep = analysis.exponent_catalog(1, 0.0, 1.0, 1.5)
     assert rep.get("subthreshold_l2_existence").value == pytest.approx(1.0 + 16.0 / 3.0)
     assert rep.get("onedim_mixed_existence").value == pytest.approx(1.0 + 8.0 / 2.5)
+
+
+# each entry's range of mu at m = 1, as (low, high, closed at low, closed at high)
+_MU_RANGES = {
+    "h1l2_existence": lambda n: (2.0, math.inf, True, False),
+    "lm_existence": lambda n: (2.0 + n, math.inf, True, False),
+    "ell_parameter": lambda n: (2.0, 2.0 + n, False, False),
+    "subthreshold_l2_existence": lambda n: (1.0, 2.0, True, False),
+    "onedim_mixed_existence": lambda n: (1.0, 3.0, True, False) if n == 1 else None,
+    "onedim_smallmu_existence": lambda n: (0.0, 1.0, False, True) if n == 1 else None,
+    "smallmu_nonexistence": lambda n: (0.0, 1.0, False, False),
+    "existence_gap": lambda n: (0.0, 1.0, False, True) if n == 1 else None,
+}
+
+
+def _inside(mu, lo, hi, lo_closed, hi_closed):
+    """Whether mu lies in the range, each end judged by analysis._regime."""
+    low, high = analysis._regime(mu, lo), analysis._regime(mu, hi)
+    return ((low == "above" or lo_closed and low == "at")
+            and (high == "below" or hi_closed and high == "at"))
+
+
+@pytest.mark.parametrize("offset", [-1e-3, -5e-10, 5e-10, 1e-3])
+@pytest.mark.parametrize("n, border", [(1, 0.0), (1, 1.0), (1, 2.0), (1, 3.0), (2, 4.0)],
+                         ids=["0", "1", "2", "3", "2+n"])
+def test_every_border_reading_agrees_with_regime(n, border, offset):
+    # a mu within 1e-9 of a border is at it for every reader: the catalog,
+    # the config notes, the dissipativity check and the decay rates
+    mu = border + offset
+    report = analysis.exponent_catalog(n, 0.0, 1.0, mu)
+    names = {e.name for e in report.entries}
+    for name, bounds in _MU_RANGES.items():
+        flag = report.get(name).applicable if name in names else False
+        assert flag == (bounds(n) is not None and _inside(mu, *bounds(n))), (name, mu)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        cfg = validate_config({"profile": {"kind": "constant"}, "mu": mu,
+                               "grid": {"n": n, "N": 16},
+                               "nonlinearity": {"form": "signed_power", "p": 3.0}, "T": 1.0})
+    expected = [f"mu={mu!r} < {b:g}" for b in (2.0, 0.0) if analysis._regime(mu, b) == "below"]
+    assert [note.split(":")[0] for note in cfg.warnings] == expected
+
+    custom = profiles.custom_profile([0.0, 1.0, 2.0], [1.0, 2.0, 1.5])
+    for prof in (profiles.constant_profile(), custom):
+        assert (profiles.dissipativity_check(prof, profiles.DampingSpec.from_mu(mu))
+                == (analysis._regime(mu, 0.0) != "below"))
+
+    # the effective rates hold above the solution and energy borders n(2/m - 1)
+    # and 2 + n(2/m - 1), mu/2 at and below them
+    for m, base in ((1.0, n / 2.0), (2.0, 0.0)):
+        sol, en = (analysis._regime(mu, b) == "above" for b in (n * (2.0 / m - 1.0),
+                                                                2.0 + n * (2.0 / m - 1.0)))
+        assert analysis.predicted_decay_exponents(n, mu, m) == {
+            "L2": base if sol else mu / 2.0, "energy": base + 1.0 if en else mu / 2.0}
 
 
 def test_gn_verify():

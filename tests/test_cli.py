@@ -2,7 +2,10 @@
 
 import json
 import os
+import pathlib
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -57,6 +60,23 @@ def test_simulate_blowup_outcome(tmp_path, capsys):
     last = {name: track[-1] for name, track in series.tracks.items()}
     assert last.pop("blowup_flag") == 1.0
     assert "L2" in last and "cone_excess" in last and all(np.isnan(v) for v in last.values())
+
+
+def test_simulate_prints_each_note_as_one_stderr_line(tmp_path):
+    # from the command line a config note is one plain line, with mu exactly
+    # as given; library callers of validate_config get a UserWarning
+    cfg = run_config(tmp_path, mu=-0.4000001, T=0.5,
+                     nonlinearity={"form": "absolute_power", "p": 2.0})
+    code = "import sys; sys.path[:0] = ['src']\nfrom dampwave.cli import main\nsys.exit(main())"
+    out = subprocess.run([sys.executable, "-c", code, "simulate", "--config", cfg,
+                          "--out", str(tmp_path / "notes.csv")],
+                         cwd=pathlib.Path(__file__).resolve().parents[1],
+                         env={k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"},
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0 and json.loads(out.stdout)["outcome"] == "completed"
+    assert out.stderr.splitlines() == [
+        "warning: mu=-0.4000001 < 2: only the sub-threshold estimates apply",
+        "warning: mu=-0.4000001 < 0: dissipativity fails"]
 
 
 def test_simulate_validation_exit_code(tmp_path, capsys):

@@ -2,7 +2,8 @@
 
 Static: every top-level import of a dampwave module is used, every top-level
 definition is used in the package or exported, no module imports a dampwave
-module inside a function, and the package's import graph has no cycles.
+module inside a function, the package's import graph has no cycles, and mu is
+ordered against a number only in ``analysis._regime``.
 Run time: the package namespace resolves its names lazily, and a fresh
 process loads only the modules a run uses.
 """
@@ -144,6 +145,47 @@ def _import_graph():
 
 def test_import_graph_has_no_cycles():
     list(graphlib.TopologicalSorter(_import_graph()).static_order())  # raises CycleError
+
+
+_ORDERINGS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
+def _is_mu(node):
+    return (isinstance(node, ast.Name) and node.id == "mu"
+            or isinstance(node, ast.Attribute) and node.attr == "mu")
+
+
+def _mu_orderings(tree, exempt=()):
+    """Lines of the <, <=, > and >= comparisons with a bare ``mu`` or ``.mu``
+    operand, outside the functions named in ``exempt``."""
+    skip = {id(node) for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name in exempt for node in ast.walk(fn)}
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and id(node) not in skip:
+            operands = [node.left, *node.comparators]
+            if any(isinstance(op, _ORDERINGS) and (_is_mu(a) or _is_mu(b))
+                   for op, a, b in zip(node.ops, operands, operands[1:])):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_mu_ordering_check_sees_a_comparison():
+    tree = ast.parse("def _regime(mu, b):\n    return mu > b\n"
+                     "def f(spec, mu, n):\n    a = spec.mu >= 0\n    b = 1.0 <= mu < 2.0\n"
+                     "    return mu == 2 or n < 3 or mu - 1 > 0 or n < 2 < mu\n")
+    assert _mu_orderings(tree, exempt={"_regime"}) == [4, 5, 6]
+    assert _mu_orderings(tree) == [2, 4, 5, 6]
+
+
+def test_mu_meets_a_border_only_in_regime():
+    # analysis._regime is the one comparison of mu with a border: a second one
+    # would split mu within 1e-9 of a border from the side _regime puts it on
+    found = {p.name: _mu_orderings(ast.parse(p.read_text(), filename=str(p)),
+                                   exempt={"_regime"} if p.name == "analysis.py" else ())
+             for p in MODULES}
+    found = {name: lines for name, lines in found.items() if lines}
+    assert not found, f"mu ordered against a number outside analysis._regime: {found}"
 
 
 def _run(code):

@@ -452,16 +452,20 @@ def test_grid_run_matches_radial_series():
         assert gap.max() <= bound, (name, gap.max())
 
 
-@pytest.mark.parametrize("profile, T", [({"kind": "constant"}, 20.0),
-                                        ({"kind": "polynomial", "q": 1.5}, 10.0),
-                                        ({"kind": "exponential", "r": 0.2}, 10.0)],
-                         ids=["constant", "polynomial", "exponential"])
-def test_small_nonlinear_runs_keep_the_linear_decay(profile, T):
+# measured gaps at eps = 0.01: 6.7e-7, 2.7e-7 and 7.8e-7 at p = 4 in the
+# order below, 1.8e-4 at p = 3; a kick of 2 dt f doubles each
+@pytest.mark.parametrize("profile, T, p, gap_bound", [
+    ({"kind": "constant"}, 20.0, 4.0, 1.0e-6),
+    ({"kind": "polynomial", "q": 1.5}, 10.0, 4.0, 1.0e-6),
+    ({"kind": "exponential", "r": 0.2}, 10.0, 4.0, 1.0e-6),
+    ({"kind": "constant"}, 20.0, 3.0, 2.0e-4)],
+    ids=["constant", "polynomial", "exponential", "constant_p3"])
+def test_small_nonlinear_runs_keep_the_linear_decay(profile, T, p, gap_bound):
     # small data decay like the linear flow: the L2 gap of a run to the
     # linear radial series is the first Duhamel correction, of order eps^(p-1)
-    # relative, so doubling eps multiplies it by 2^(p-1) = 8.  This holds the
+    # relative, so doubling eps multiplies it by 2^(p-1) (8 at p = 4, measured
+    # 7.9993, 7.9983 and 8.0014; 4 at p = 3, measured 4.0029).  This holds the
     # run's thousands of composed steps against the grid-free route.
-    p = 4.0
     gaps = []
     for eps in (0.01, 0.02):
         cfg = validate_config({"profile": profile, "mu": 4.0, "grid": {"n": 1, "N": 1024},
@@ -474,9 +478,7 @@ def test_small_nonlinear_runs_keep_the_linear_decay(profile, T):
                                             rtol=1e-9, pts_per_period=48)
         gaps.append(np.abs(run.tracks["L2"] / series.tracks["L2"] - 1.0))
     assert gaps[1][-1] / gaps[0][-1] == pytest.approx(2.0 ** (p - 1.0), rel=1e-3)
-    # measured 6.7e-7, 2.7e-7 and 7.8e-7 in the order above; a kick of
-    # 2 dt f doubles each
-    assert gaps[0].max() <= 1.0e-6
+    assert gaps[0].max() <= gap_bound
 
 
 def test_series_builder_tracks_and_metadata():
